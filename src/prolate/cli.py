@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,7 +66,7 @@ commands:
   eigs        M= N= K=                 eigenvalues of the prolate block
   transition  M= N= K= [eps=...]       transition widths vs the bound
   transition  ratio-sweep M=LO..HI     doubling sweep with N=M/4, K=M/8
-              [eps=...] [jobs=]
+              [eps=...]
   certify     M= N= K= [eps=...]       clustering certificates (eigenvalues)
   certify     M= p= [row=] [col=]      clustering certificates (DFT block)
               [eps=...]
@@ -102,7 +101,6 @@ class RunConfig:
     epsilons: tuple[float, ...] = DEFAULT_EPSILONS
     output_path: Path | None = None
     format: str = "csv"
-    jobs: int = 1
 
 
 def _fmt(x: float) -> str:
@@ -139,7 +137,7 @@ def _parse_eps_list(text: str) -> tuple[float, ...]:
 _COMMANDS = ("eigs", "transition", "certify", "dft-sub", "decompose", "commute")
 _KEYS = {
     "eigs": {"M", "N", "K", "out", "format"},
-    "transition": {"M", "N", "K", "eps", "jobs", "out", "format"},
+    "transition": {"M", "N", "K", "eps", "out", "format"},
     "certify": {"M", "N", "K", "p", "row", "col", "eps", "out", "format"},
     "dft-sub": {"M", "p", "row", "col", "out", "format"},
     "decompose": {"M", "N", "K", "eps", "order", "out", "format"},
@@ -181,10 +179,6 @@ def parse_args(argv: list[str]) -> RunConfig:
         config.format = fmt
     if "eps" in kv:
         config.epsilons = _parse_eps_list(kv.pop("eps"))
-    if "jobs" in kv:
-        config.jobs = _parse_int("jobs", kv.pop("jobs"))
-        if config.jobs < 1:
-            raise UsageError("jobs must be >= 1")
     if "order" in kv:
         config.order = _parse_int("order", kv.pop("order"))
         if config.order < 0:
@@ -358,14 +352,10 @@ def _run_transition(config: RunConfig):
             "doubling sweep with N = M/4, K = M/8",
             f"M from {lo} to {hi}",
         ]
-        def worker(size):
-            return _transition_rows(size, size // 4, size // 8, config.epsilons)
-
-        if config.jobs > 1:
-            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-                results = list(pool.map(worker, sizes))
-        else:
-            results = [worker(size) for size in sizes]
+        results = [
+            _transition_rows(size, size // 4, size // 8, config.epsilons)
+            for size in sizes
+        ]
         rows = [row for chunk, _ in results for row in chunk]
         all_ok = all(ok for _, ok in results)
     code = EXIT_OK if all_ok else EXIT_CERTIFICATION

@@ -196,5 +196,9 @@ def eigenvectors_via_tridiagonal(fit: TridiagonalFit, b) -> Spectrum:
     vectors = np.ascontiguousarray(tri.vectors[:, order])
     residual = float(np.abs(b @ vectors - vectors * values[None, :]).max(initial=0.0))
     return Spectrum(
-        values=values, vectors=vectors, method="householder_ql", residual=residual
+        values=values,
+        vectors=vectors,
+        method="householder_ql",
+        residual=residual,
+        iterations=tri.iterations,
     )

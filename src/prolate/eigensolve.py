@@ -8,8 +8,11 @@ Complex Hermitian problems are reduced to real symmetric ones through the
 2n x 2n embedding [[Re, -Im], [Im, Re]], whose spectrum repeats each
 eigenvalue twice.
 
-The two hot kernels are plain Python loops; when numba is importable they
-are JIT-compiled, otherwise they run as-is (slow but identical).
+The two hot kernels keep their scalar recurrences in Python but apply
+each plane rotation as in-place numpy updates of whole columns, with the
+same per-element arithmetic as an element-by-element loop, so results are
+bitwise identical to it.  When numba is importable both kernels are
+JIT-compiled; that compiled path is unverified.
 """
 from __future__ import annotations
 
@@ -43,6 +46,9 @@ SYMMETRY_TOL = 1e-12
 QL_BUDGET_PER_ROW = 50
 JACOBI_MAX_SWEEPS = 60
 JACOBI_OFF_TOL = 1e-14
+# Beyond this |theta|, 1 + theta*theta == theta*theta exactly, so the
+# rotation tangent is 0.5/theta; squaring would overflow past ~1.3e154.
+JACOBI_LARGE_THETA = 1e150
 # Relative spectral floor for Gram-based singular values; squaring the
 # matrix halves the usable dynamic range, so eigenvalues this far below
 # the top are indistinguishable from zero in double precision.
@@ -55,13 +61,15 @@ class Spectrum:
 
     ``vectors[:, j]`` pairs with ``values[j]``.  ``residual`` is
     max_j ||A v_j - values_j v_j||_inf, recorded only when vectors were
-    requested.
+    requested.  ``iterations`` is the solver's work count: implicit QL
+    steps for householder_ql, sweeps for jacobi.
     """
 
     values: np.ndarray
     vectors: np.ndarray | None = field(default=None, repr=False)
     method: str = ""
     residual: float | None = None
+    iterations: int | None = None
 
     def __len__(self) -> int:
         return self.values.size
@@ -173,10 +181,14 @@ def _ql_implicit(d, e, z, want_z, budget):
                 d[i + 1] = g + p
                 g = c * r - b
                 if want_z:
-                    for row in range(n):
-                        f2 = z[row, i + 1]
-                        z[row, i + 1] = s * z[row, i] + c * f2
-                        z[row, i] = c * z[row, i] - s * f2
+                    zi = z[:, i]
+                    zi1 = z[:, i + 1]
+                    szi1 = s * zi1
+                    szi = s * zi
+                    zi *= c
+                    zi -= szi1
+                    zi1 *= c
+                    zi1 += szi
             if not underflow:
                 d[l] -= p
                 e[l] = g
@@ -210,31 +222,42 @@ def _jacobi_cyclic(a, v, want_v, max_sweeps):
                 apq = a[p, q]
                 if apq == 0.0:
                     continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta >= 0.0:
+                app = a[p, p]
+                aqq = a[q, q]
+                theta = (aqq - app) / (2.0 * apq)
+                if abs(theta) > JACOBI_LARGE_THETA:
+                    t = 0.5 / theta  # theta*theta would overflow
+                elif theta >= 0.0:
                     t = 1.0 / (theta + math.sqrt(1.0 + theta * theta))
                 else:
                     t = -1.0 / (-theta + math.sqrt(1.0 + theta * theta))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                for i in range(n):
-                    if i != p and i != q:
-                        aip = a[i, p]
-                        aiq = a[i, q]
-                        a[i, p] = aip * c - aiq * s
-                        a[p, i] = a[i, p]
-                        a[i, q] = aiq * c + aip * s
-                        a[q, i] = a[i, q]
-                a[p, p] -= t * apq
-                a[q, q] += t * apq
+                # rotate columns p and q in place, then mirror them into
+                # rows p and q; the four (p, q) entries are set afterwards
+                aip = a[:, p]
+                aiq = a[:, q]
+                sq = s * aiq
+                sp = s * aip
+                aip *= c
+                aip -= sq
+                aiq *= c
+                aiq += sp
+                a[p, :] = aip
+                a[q, :] = aiq
+                a[p, p] = app - t * apq
+                a[q, q] = aqq + t * apq
                 a[p, q] = 0.0
                 a[q, p] = 0.0
                 if want_v:
-                    for i in range(n):
-                        vip = v[i, p]
-                        viq = v[i, q]
-                        v[i, p] = vip * c - viq * s
-                        v[i, q] = viq * c + vip * s
+                    vip = v[:, p]
+                    viq = v[:, q]
+                    sq = s * viq
+                    sp = s * vip
+                    vip *= c
+                    vip -= sq
+                    viq *= c
+                    viq += sp
     return -1
 
 
@@ -257,7 +280,7 @@ def _fix_vector_signs(vectors: np.ndarray) -> None:
             vectors[:, j] = -vectors[:, j]
 
 
-def _finish(a_sym, values, vectors, method) -> Spectrum:
+def _finish(a_sym, values, vectors, method, iterations) -> Spectrum:
     order = np.argsort(-values, kind="stable")
     values = values[order]
     residual = None
@@ -267,7 +290,13 @@ def _finish(a_sym, values, vectors, method) -> Spectrum:
         residual = float(
             np.abs(a_sym @ vectors - vectors * values[None, :]).max(initial=0.0)
         )
-    return Spectrum(values=values, vectors=vectors, method=method, residual=residual)
+    return Spectrum(
+        values=values,
+        vectors=vectors,
+        method=method,
+        residual=residual,
+        iterations=iterations,
+    )
 
 
 def eigh_householder_ql(a, want_vectors: bool = False) -> Spectrum:
@@ -282,12 +311,15 @@ def eigh_householder_ql(a, want_vectors: bool = False) -> Spectrum:
     work = sym.copy()
     d, e, q = _householder_tridiag(work, want_vectors)
     z = q if want_vectors else np.empty((0, 0))
-    left = _ql_implicit(d, e, z, want_vectors, QL_BUDGET_PER_ROW * n)
+    budget = QL_BUDGET_PER_ROW * n
+    left = _ql_implicit(d, e, z, want_vectors, budget)
     if left < 0:
         raise EigensolveError(
-            f"implicit QL did not converge within {QL_BUDGET_PER_ROW * n} sweeps"
+            f"implicit QL did not converge within {budget} sweeps"
         )
-    return _finish(sym, d, z if want_vectors else None, "householder_ql")
+    return _finish(
+        sym, d, z if want_vectors else None, "householder_ql", budget - left
+    )
 
 
 def eigh_jacobi(a, want_vectors: bool = False) -> Spectrum:
@@ -302,7 +334,7 @@ def eigh_jacobi(a, want_vectors: bool = False) -> Spectrum:
             f"Jacobi iteration did not converge within {JACOBI_MAX_SWEEPS} sweeps"
         )
     values = np.ascontiguousarray(np.diag(work))
-    return _finish(sym, values, v if want_vectors else None, "jacobi")
+    return _finish(sym, values, v if want_vectors else None, "jacobi", sweeps)
 
 
 def hermitian_embedding(g: np.ndarray) -> np.ndarray:

@@ -99,10 +99,8 @@ def test_transition_ratio_sweep(tmp_path):
     assert len(rows) == 3 * 4  # sizes 64,128,256 x default epsilon grid
     sizes = [int(row.split(",")[0]) for row in rows]
     assert sizes == sorted(sizes)
-    # bounded worker pool must not change the bytes
-    out2 = tmp_path / "sweep2.csv"
-    assert main(["transition", "ratio-sweep", "M=64..256", "jobs=3", f"out={out2}"]) == 0
-    assert out2.read_bytes() == out.read_bytes()
+    # the sweep is serial: a worker-count key is a usage error
+    assert main(["transition", "ratio-sweep", "M=64..256", "jobs=3"]) == 2
 
 
 def test_certify_eigenvalue_mode(capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import prolate as pr
+import prolate.eigensolve as es
 from prolate.eigensolve import sqrt_clamped
 
 
@@ -81,8 +82,6 @@ def test_sign_convention_first_component_positive():
 
 
 def test_exhausted_iteration_budget_raises(monkeypatch):
-    import prolate.eigensolve as es
-
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
     monkeypatch.setattr(es, "QL_BUDGET_PER_ROW", 0)
     with pytest.raises(pr.EigensolveError):
@@ -246,3 +245,177 @@ def test_singular_values_of_one_by_one_block():
     sigma = pr.singular_values_via_gram(pr.dft_submatrix(8, 8))
     assert sigma.shape == (1,)
     assert sigma[0] == pytest.approx(1.0 / math.sqrt(8), abs=1e-14)
+
+
+# Element-by-element references for the two rotation kernels, kept to pin
+# the slice-vectorised kernels to bitwise-identical output.  The Jacobi
+# reference carries the same large-theta guard as the kernel.
+
+
+def _ql_implicit_scalar(d, e, z, want_z, budget):
+    n = d.shape[0]
+    for l in range(n):
+        while True:
+            m = l
+            while m < n - 1:
+                dd = abs(d[m]) + abs(d[m + 1])
+                if abs(e[m]) + dd == dd:
+                    break
+                m += 1
+            if m == l:
+                break
+            budget -= 1
+            if budget < 0:
+                return -1
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            if g >= 0.0:
+                g = d[m] - d[l] + e[l] / (g + r)
+            else:
+                g = d[m] - d[l] + e[l] / (g - r)
+            s = 1.0
+            c = 1.0
+            p = 0.0
+            underflow = False
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    underflow = True
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                if want_z:
+                    for row in range(n):
+                        f2 = z[row, i + 1]
+                        z[row, i + 1] = s * z[row, i] + c * f2
+                        z[row, i] = c * z[row, i] - s * f2
+            if not underflow:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+    return budget
+
+
+def _jacobi_cyclic_scalar(a, v, want_v, max_sweeps):
+    n = a.shape[0]
+    total = 0.0
+    for i in range(n):
+        for j in range(n):
+            total += a[i, j] * a[i, j]
+    thresh = es.JACOBI_OFF_TOL * math.sqrt(total)
+    for sweep in range(max_sweeps + 1):
+        off = 0.0
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                off += 2.0 * a[i, j] * a[i, j]
+        if math.sqrt(off) <= thresh:
+            return sweep
+        if sweep == max_sweeps:
+            return -1
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                if abs(theta) > es.JACOBI_LARGE_THETA:
+                    t = 0.5 / theta
+                elif theta >= 0.0:
+                    t = 1.0 / (theta + math.sqrt(1.0 + theta * theta))
+                else:
+                    t = -1.0 / (-theta + math.sqrt(1.0 + theta * theta))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                for i in range(n):
+                    if i != p and i != q:
+                        aip = a[i, p]
+                        aiq = a[i, q]
+                        a[i, p] = aip * c - aiq * s
+                        a[p, i] = a[i, p]
+                        a[i, q] = aiq * c + aip * s
+                        a[q, i] = a[i, q]
+                a[p, p] -= t * apq
+                a[q, q] += t * apq
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                if want_v:
+                    for i in range(n):
+                        vip = v[i, p]
+                        viq = v[i, q]
+                        v[i, p] = vip * c - viq * s
+                        v[i, q] = viq * c + vip * s
+    return -1
+
+
+def _reference_ql(a):
+    sym = es._as_dense_symmetric(a)
+    n = sym.shape[0]
+    d, e, q = es._householder_tridiag(sym.copy(), True)
+    budget = es.QL_BUDGET_PER_ROW * n
+    left = _ql_implicit_scalar(d, e, q, True, budget)
+    assert left >= 0
+    return es._finish(sym, d, q, "householder_ql", budget - left)
+
+
+def _reference_jacobi(a):
+    sym = es._as_dense_symmetric(a)
+    work = sym.copy()
+    v = np.eye(sym.shape[0])
+    sweeps = _jacobi_cyclic_scalar(work, v, True, es.JACOBI_MAX_SWEEPS)
+    assert sweeps >= 0
+    return es._finish(sym, np.ascontiguousarray(np.diag(work)), v, "jacobi", sweeps)
+
+
+def _reference_inputs():
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3, 12, 64):
+        yield f"random-{n}", _random_symmetric(rng, n)
+    yield "prolate-256-64-31", pr.periodic_prolate(
+        pr.ProlateParams(M=256, N=64, K=31)
+    ).dense()
+
+
+@pytest.mark.parametrize(
+    "solver,reference",
+    [(pr.eigh_householder_ql, _reference_ql), (pr.eigh_jacobi, _reference_jacobi)],
+    ids=["householder_ql", "jacobi"],
+)
+def test_vectorised_kernels_match_scalar_reference_bitwise(solver, reference):
+    for label, a in _reference_inputs():
+        got = solver(a, want_vectors=True)
+        want = reference(a)
+        assert np.array_equal(got.values, want.values), label
+        assert np.array_equal(got.vectors, want.vectors), label
+        assert got.residual == want.residual, label
+        assert got.iterations == want.iterations, label
+
+
+def test_iteration_counts_recorded_within_budget():
+    rng = np.random.default_rng(13)
+    a = _random_symmetric(rng, 24)
+    ql = pr.eigh_householder_ql(a)
+    assert 0 < ql.iterations <= es.QL_BUDGET_PER_ROW * 24
+    ja = pr.eigh_jacobi(a, want_vectors=True)
+    assert 0 < ja.iterations <= es.JACOBI_MAX_SWEEPS
+    assert pr.eigh_jacobi(np.diag([2.0, 1.0])).iterations == 0
+
+
+def test_jacobi_large_theta_rotation_is_finite():
+    # the (0, 1) rotation has theta = 1/(2e-160), whose square overflows;
+    # the (1, 2) entry keeps the sweep from stopping before it
+    a = np.array([[0.0, 1e-160, 0.0], [1e-160, 1.0, 0.5], [0.0, 0.5, 2.0]])
+    spec = pr.eigh_jacobi(a, want_vectors=True)
+    assert spec.iterations > 0
+    expect = pr.eigh_householder_ql(a).values
+    assert np.abs(spec.values - expect).max() <= 1e-15
+    assert np.abs(spec.vectors.T @ spec.vectors - np.eye(3)).max() <= 1e-15
