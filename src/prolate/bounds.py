@@ -18,6 +18,12 @@ import numpy as np
 from .eigensolve import Spectrum, eigh_householder_ql, singular_values_via_gram
 from .kernels import ParameterError, ProlateParams, dft_submatrix, periodic_prolate
 
+# A spectrum must sum to the block's trace N(2K+1)/M.  Its sum is the trace
+# of A + E, E the solver's backward error with ||E||_2 ~ n u ||A||_2, and
+# ||A||_2 <= 1 here, so |trace E| <= n ||E||_2 ~ N^2 u (measured <= 1.4e-14
+# up to N = 768).  K +/- 1 shifts the trace by 2N/M, outside for M < 1/(2Nu).
+TRACE_ROUNDING = 4.0 * 2.0**-52
+
 
 def _check_epsilon(epsilon: float) -> float:
     epsilon = float(epsilon)
@@ -116,7 +122,8 @@ def certify_spectrum_clustering(
     """Certify eigenvalue clustering of the time- and band-limited operator.
 
     Computes the spectrum of the N x N periodic prolate block (or reuses a
-    precomputed one), then checks the eigenvalue at index 2*floor(NW) -
+    precomputed one, which must have N values summing to the block's trace
+    N(2K+1)/M), then checks the eigenvalue at index 2*floor(NW) -
     ceil(R) is >= 1-eps, the one at 2*floor(NW) + ceil(R) + 1 is <= eps,
     and that the number of eigenvalues strictly inside (eps, 1-eps) is at
     most 2R.
@@ -130,6 +137,11 @@ def certify_spectrum_clustering(
     if lam.size != params.N:
         raise ParameterError(
             f"spectrum has {lam.size} values, expected N={params.N}"
+        )
+    total = math.fsum(lam)
+    if abs(total - params.cluster_point) > TRACE_ROUNDING * params.N**2:
+        raise ParameterError(
+            f"spectrum sums to {total!r}, not to the trace {params.cluster_point!r}"
         )
     half = transition_bound(params.N, params.M, epsilon)
     half_int = math.ceil(half)

@@ -27,12 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import (
-    certify_dft_submatrix,
-    certify_spectrum_clustering,
-    transition_bound,
-    transition_width,
-)
+from .bounds import certify_dft_submatrix, certify_spectrum_clustering
 from .commuting import (
     DegenerateFitError,
     eigenvectors_via_tridiagonal,
@@ -321,13 +316,10 @@ def _transition_rows(m: int, n: int, k: int, epsilons):
     rows = []
     all_ok = True
     for eps in epsilons:
-        width = transition_width(spectrum.values, eps)
-        bound = 2.0 * transition_bound(n, m, eps)
-        ok = width <= bound
-        all_ok = all_ok and ok
-        rows.append(
-            [str(m), str(n), str(k), _fmt(eps), str(width), _fmt(bound), _fmt_bool(ok)]
-        )
+        report = certify_spectrum_clustering(params, eps, spectrum)
+        all_ok = all_ok and report.width_ok
+        row = [str(m), str(n), str(k), _fmt(eps), str(report.width)]
+        rows.append(row + [_fmt(report.bound), _fmt_bool(report.width_ok)])
     return rows, all_ok
 
 
@@ -450,7 +442,7 @@ def _run_decompose(config: RunConfig):
         residual = difference - parts.lowrank
         row_sum = float(np.abs(residual).sum(axis=1).max())
         entry = float(np.abs(residual).max())
-        sigma = singular_values_via_gram(parts.lowrank.astype(np.complex128))
+        sigma = singular_values_via_gram(parts.lowrank)
         if sigma.size and sigma[0] > 0.0:
             rank = int((sigma > 1e-10 * sigma[0]).sum())
         else:
@@ -490,17 +482,11 @@ def _run_commute(config: RunConfig):
     if not fit.degenerate:
         direct = eigh_householder_ql(dense)
         via_tri = eigenvectors_via_tridiagonal(fit, dense)
-        lam = direct.values
-        gaps = np.full(lam.size, np.inf)
-        if lam.size > 1:
-            step = np.abs(np.diff(lam))
-            gaps[:-1] = np.minimum(gaps[:-1], step)
-            gaps[1:] = np.minimum(gaps[1:], step)
-        mask = gaps > 1e-6
+        mask = ~np.isnan(fit.alignment)  # pairs separated by EIGENVALUE_GAP
         compared = int(mask.sum())
         if compared:
-            max_dev = float(np.abs(via_tri.values - lam)[mask].max())
-            min_align = float(np.nanmin(fit.alignment[mask]))
+            max_dev = float(np.abs(via_tri.values - direct.values)[mask].max())
+            min_align = float(fit.alignment[mask].min())
     ok = (
         not fit.degenerate
         and fit.commutator_norm <= 1e-8

@@ -4,9 +4,9 @@ Two independent algorithms are provided on purpose: the workhorse is
 Householder reduction to tridiagonal form followed by implicit QL with
 Wilkinson shifts; a cyclic Jacobi rotation solver acts as a cross-check
 oracle on moderate sizes (its convergence theory is unconditional).
-Complex Hermitian problems are reduced to real symmetric ones through the
-2n x 2n embedding [[Re, -Im], [Im, Re]], whose spectrum repeats each
-eigenvalue twice.
+A complex matrix's Hermitian Gram is reduced to a real symmetric one through
+the 2n x 2n embedding [[Re, -Im], [Im, Re]], whose spectrum repeats each
+eigenvalue twice; a real matrix's Gram is real symmetric already.
 
 The two hot kernels keep their scalar recurrences in Python but apply
 each plane rotation as in-place numpy updates of whole columns, with the
@@ -376,16 +376,19 @@ def sqrt_clamped(values: np.ndarray, noise_floor: float = GRAM_NOISE_FLOOR) -> n
 def singular_values_via_gram(
     f: np.ndarray, noise_floor: float = GRAM_NOISE_FLOOR
 ) -> np.ndarray:
-    """Singular values of a complex matrix, descending, via its Gram matrix.
+    """Singular values of a real or complex matrix, descending, via its Gram.
 
-    The Hermitian Gram F*F is diagonalized through the real symmetric
-    embedding, whose spectrum carries each Gram eigenvalue twice; the
-    pairs are deduplicated by taking every other sorted value.
+    A real F has the real symmetric Gram F^T F, diagonalized directly.  A
+    complex F has the Hermitian Gram F*F, diagonalized through the real
+    symmetric embedding, whose spectrum carries each Gram eigenvalue twice;
+    the pairs are deduplicated by taking every other sorted value.
     """
-    f = np.asarray(f, dtype=np.complex128)
+    f = np.asarray(f)
     if f.ndim != 2:
         raise ParameterError(f"expected a 2-d matrix, got shape {f.shape}")
-    gram = f.conj().T @ f
-    spec = eigh_householder_ql(hermitian_embedding(gram))
-    doubled = spec.values
-    return sqrt_clamped(doubled[0::2], noise_floor)
+    if np.iscomplexobj(f):
+        f = f.astype(np.complex128, copy=False)
+        gram = hermitian_embedding(f.conj().T @ f)
+        return sqrt_clamped(eigh_householder_ql(gram).values[0::2], noise_floor)
+    f = f.astype(np.float64, copy=False)
+    return sqrt_clamped(eigh_householder_ql(f.T @ f).values, noise_floor)

@@ -133,10 +133,7 @@ def sinc_prolate(n: int, w: float) -> SymbolMatrix:
 
 def dft_matrix(m: int) -> np.ndarray:
     """Unitary DFT matrix with entries exp(-2i*pi*j*k/m)/sqrt(m)."""
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ParameterError(f"dimension must be a positive integer, got {m!r}")
-    j = np.arange(m)
-    return np.exp(-2j * np.pi * np.outer(j, j) / m) / math.sqrt(m)
+    return dft_submatrix(m, 1)
 
 
 def dft_submatrix(
@@ -146,8 +143,10 @@ def dft_submatrix(
 
     Keeps rows row_offset..row_offset+L-1 and columns col_offset..
     col_offset+L-1 with indices taken mod m, so consecutive blocks wrap
-    around the period.
+    around the period.  Only the block is built, from phases j*k mod m.
     """
+    if not isinstance(m, (int, np.integer)) or m < 1:
+        raise ParameterError(f"dimension must be a positive integer, got {m!r}")
     if not isinstance(p, (int, np.integer)) or p < 1:
         raise ParameterError(f"divisor must be a positive integer, got {p!r}")
     if m % p != 0:
@@ -155,7 +154,8 @@ def dft_submatrix(
     length = m // p
     rows = (int(row_offset) + np.arange(length)) % m
     cols = (int(col_offset) + np.arange(length)) % m
-    return dft_matrix(m)[np.ix_(rows, cols)]
+    phase = np.outer(rows, cols) % m
+    return np.exp(-2j * np.pi * phase / m) / math.sqrt(m)
 
 
 def sampled_exponential(n: int, f: float) -> np.ndarray:

@@ -6,7 +6,8 @@ oscillatory power series
 
     t(r; k) = 2/(M*pi) * eta(2r) * (k/M)^(2r-1) * sin(2*pi*W*k),
 
-where eta is the Dirichlet eta function eta(s) = (1 - 2^(1-s)) zeta(s).
+where eta is the Dirichlet eta function eta(s) = (1 - 2^(1-s)) zeta(s),
+evaluated exactly from its Bernoulli-number closed form at even s.
 Truncating the series after R terms leaves a matrix of rank at most 4R
 (it factors through monomial-times-oscillation columns) plus a tail whose
 maximum absolute row sum is certified by a geometric-series bound.  This
@@ -18,48 +19,36 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .eigensolve import eigh_householder_ql
 from .kernels import ParameterError, ProlateParams, partial_fourier, sinc_prolate
 
-# Alternating-series truncation: stop once the next term drops below this,
-# which bounds the truncation error by the same amount.
-ETA_TERM_CUTOFF = 1e-17
-_ETA_CHUNK = 1 << 22
-_eta_cache: dict[int, float] = {}
+# pi to 62 decimals: its relative error (< 1e-62), raised to a power
+# s <= 200, stays far below half an ulp, so eta_even rounds only once.
+_PI = Fraction("3.14159265358979323846264338327950288419716939937510582097494459")
 
 
 def eta_even(s: int) -> float:
-    """Dirichlet eta at an even integer s in [2, 200], by alternating series.
+    """Dirichlet eta at an even integer s in [2, 200], from its closed form.
 
-    Sums (-1)^(n-1) / n^s until the next term falls below 1e-17; for an
-    alternating series with decreasing terms the truncation error is
-    below the first omitted term.  Chunks are accumulated smallest-first
-    to keep the floating-point error near one ulp.
+    eta(s) = (1 - 2^(1-s)) |B_s| (2 pi)^s / (2 s!), with the Bernoulli
+    number B_s from the recurrence sum_{i=0..j} C(j+1, i) B_i = 0.  It is
+    evaluated in rationals, pi taken to 62 decimals, and rounded once.
     """
     if not isinstance(s, (int, np.integer)) or isinstance(s, bool):
         raise ParameterError(f"s must be an integer, got {s!r}")
     s = int(s)
     if s % 2 != 0 or not 2 <= s <= 200:
         raise ParameterError(f"s must be an even integer in [2, 200], got {s}")
-    if s in _eta_cache:
-        return _eta_cache[s]
-    last = int((1.0 / ETA_TERM_CUTOFF) ** (1.0 / s))
-    while (last + 1) ** (-float(s)) >= ETA_TERM_CUTOFF:
-        last += 1
-    while last > 1 and last ** (-float(s)) < ETA_TERM_CUTOFF:
-        last -= 1
-    pieces = []
-    for start in range(1, last + 1, _ETA_CHUNK):
-        n = np.arange(start, min(start + _ETA_CHUNK, last + 1), dtype=np.float64)
-        terms = n ** (-float(s))
-        terms[start % 2 :: 2] *= -1.0  # even n carry the minus sign
-        pieces.append(float(terms.sum()))
-    value = math.fsum(reversed(pieces))
-    _eta_cache[s] = value
-    return value
+    bern = [Fraction(1)]
+    for j in range(1, s + 1):
+        total = sum(math.comb(j + 1, i) * b for i, b in enumerate(bern) if b)
+        bern.append(-total / (j + 1))
+    exact = (1 - Fraction(1, 2 ** (s - 1))) * abs(bern[s]) * (2 * _PI) ** s
+    return float(exact / (2 * math.factorial(s)))
 
 
 @dataclass(frozen=True)

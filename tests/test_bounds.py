@@ -82,6 +82,12 @@ def test_certify_clustering_reuses_spectrum():
         pr.certify_spectrum_clustering(
             pr.ProlateParams(M=64, N=15, K=5), 1e-4, spectrum=spectrum
         )
+    # same N with K +/- 1: the right length, but the trace is off by 2N/M
+    for k in (4, 6):
+        with pytest.raises(pr.ParameterError, match="trace"):
+            pr.certify_spectrum_clustering(
+                pr.ProlateParams(M=64, N=16, K=k), 1e-4, spectrum=spectrum
+            )
 
 
 def test_certify_clustering_rejects_bad_arguments():

@@ -190,6 +190,25 @@ def test_singular_values_dual_solver_route():
     assert np.abs(ql - ja).max() <= 1e-10 * (1.0 + np.abs(ql).max())
 
 
+def _rank(sigma):
+    return int((sigma > 1e-10 * sigma[0]).sum())
+
+
+def test_singular_values_real_gram_matches_complex_embedding():
+    # a real matrix takes the n x n real Gram; its complex cast, the 2n
+    # Hermitian embedding.  Both diagonalize the same Gram, so the squared
+    # values agree to rounding on the Gram scale sigma_0^2 (sigma itself
+    # inherits u sigma_0^2 / sigma_i), and the rank counts match.
+    parts = pr.lowrank_tail_split(pr.ProlateParams(M=1024, N=256, K=128), 1e-6)
+    rng = np.random.default_rng(29)
+    for f in (parts.lowrank, rng.standard_normal((40, 25))):
+        real = pr.singular_values_via_gram(f)
+        cast = pr.singular_values_via_gram(f.astype(np.complex128))
+        assert real.shape == cast.shape == (f.shape[1],)
+        assert np.abs(real**2 - cast**2).max() <= 1e-14 * cast[0] ** 2
+        assert _rank(real) == _rank(cast)
+
+
 def _dirichlet_block(m, p, length):
     # periodic prolate symbol at bandwidth ratio 1/(2p), which has no
     # integer half-bandwidth when m/p is even

@@ -20,6 +20,13 @@ def test_eta_closed_forms():
     assert pr.eta_even(40) == pytest.approx(1.0 - 2.0**-40, abs=1e-14)
 
 
+def test_eta_matches_mpmath_to_the_last_bit():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(256):
+        for s in range(2, 201, 2):
+            assert pr.eta_even(s) == float(mpmath.altzeta(s)), s
+
+
 def test_eta_monotone_and_bounded():
     values = [pr.eta_even(s) for s in range(2, 42, 2)]
     assert all(0.0 < v < 1.0 for v in values)
