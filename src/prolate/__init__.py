@@ -44,7 +44,9 @@ from .kernels import (
 from .lowrank import (
     EtaZetaTable,
     LowRankParts,
+    SplitCertificate,
     certified_order,
+    certify_lowrank_split,
     eta_even,
     lowrank_tail_split,
     projector_gap_rank,
@@ -63,6 +65,7 @@ __all__ = [
     "ParameterError",
     "ProlateParams",
     "Spectrum",
+    "SplitCertificate",
     "SubmatrixSpec",
     "SymbolMatrix",
     "TransitionReport",
@@ -70,6 +73,7 @@ __all__ = [
     "bandlimit_index_set",
     "certified_order",
     "certify_dft_submatrix",
+    "certify_lowrank_split",
     "certify_spectrum_clustering",
     "dft_matrix",
     "dft_submatrix",

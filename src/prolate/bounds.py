@@ -15,7 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensolve import Spectrum, eigh_householder_ql, singular_values_via_gram
+from .eigensolve import (
+    GRAM_NOISE_FLOOR,
+    Spectrum,
+    eigh_householder_ql,
+    singular_values_via_gram,
+)
 from .kernels import ParameterError, ProlateParams, dft_submatrix, periodic_prolate
 
 # A spectrum must sum to the block's trace N(2K+1)/M.  Its sum is the trace
@@ -104,16 +109,33 @@ class TransitionReport:
         return self.lower_index_ok and self.upper_index_ok and self.width_ok
 
 
-def _index_checks(values, nw2, half_width, low_level, high_level):
-    """Evaluate the two index inequalities with out-of-range checks vacuous."""
+def _clustering_report(
+    values, epsilon, half, nw2, low_level, high_level, **where
+) -> TransitionReport:
+    """Width count and the two index checks around nw2, as one report.
+
+    An index outside the valid range leaves its check vacuously true.
+    """
     n = values.size
-    lower_index = nw2 - half_width
-    upper_index = nw2 + half_width + 1
+    half_int = math.ceil(half)
+    lower_index = nw2 - half_int
+    upper_index = nw2 + half_int + 1
     lower_vacuous = lower_index < 0 or lower_index >= n
     upper_vacuous = upper_index < 0 or upper_index >= n
-    lower_ok = True if lower_vacuous else bool(values[lower_index] >= high_level)
-    upper_ok = True if upper_vacuous else bool(values[upper_index] <= low_level)
-    return lower_index, upper_index, lower_ok, upper_ok, lower_vacuous, upper_vacuous
+    width = int(((values > low_level) & (values < high_level)).sum())
+    return TransitionReport(
+        epsilon=epsilon,
+        width=width,
+        bound=2.0 * half,
+        lower_index=lower_index,
+        upper_index=upper_index,
+        lower_index_ok=lower_vacuous or bool(values[lower_index] >= high_level),
+        upper_index_ok=upper_vacuous or bool(values[upper_index] <= low_level),
+        width_ok=width <= 2.0 * half,
+        lower_vacuous=lower_vacuous,
+        upper_vacuous=upper_vacuous,
+        **where,
+    )
 
 
 def certify_spectrum_clustering(
@@ -143,25 +165,15 @@ def certify_spectrum_clustering(
         raise ParameterError(
             f"spectrum sums to {total!r}, not to the trace {params.cluster_point!r}"
         )
-    half = transition_bound(params.N, params.M, epsilon)
-    half_int = math.ceil(half)
     # floor(N*W) in exact integer arithmetic: N(2K+1) // 2M
     nw2 = 2 * ((params.N * (2 * params.K + 1)) // (2 * params.M))
-    lo_i, hi_i, lo_ok, hi_ok, lo_vac, hi_vac = _index_checks(
-        lam, nw2, half_int, epsilon, 1.0 - epsilon
-    )
-    width = transition_width(lam, epsilon)
-    return TransitionReport(
-        epsilon=epsilon,
-        width=width,
-        bound=2.0 * half,
-        lower_index=lo_i,
-        upper_index=hi_i,
-        lower_index_ok=lo_ok,
-        upper_index_ok=hi_ok,
-        width_ok=width <= 2.0 * half,
-        lower_vacuous=lo_vac,
-        upper_vacuous=hi_vac,
+    return _clustering_report(
+        lam,
+        epsilon,
+        transition_bound(params.N, params.M, epsilon),
+        nw2,
+        epsilon,
+        1.0 - epsilon,
         cluster_point=params.cluster_point,
         params=params,
         spectrum=spectrum,
@@ -181,7 +193,8 @@ def certify_dft_submatrix(
     L = m/p.  The checks mirror the eigenvalue case at levels sqrt(eps)
     and sqrt(1-eps) around index 2*floor(L/(2p)), with the cap evaluated
     at (L, m).  p = 1 is the unitary case: every singular value is 1 and
-    the cap is taken as zero.
+    the cap is taken as zero.  Supplied singular values must number L
+    and their squares must sum to L/p.
     """
     epsilon = _check_epsilon(epsilon)
     if not isinstance(p, (int, np.integer)) or p < 1:
@@ -198,26 +211,22 @@ def certify_dft_submatrix(
         raise ParameterError(
             f"got {sigma.size} singular values, expected L={length}"
         )
-    half = 0.0 if p == 1 else transition_bound(length, m, epsilon)
-    half_int = math.ceil(half)
-    nw2 = 2 * (length // (2 * p))
-    low_level = math.sqrt(epsilon)
-    high_level = math.sqrt(1.0 - epsilon)
-    lo_i, hi_i, lo_ok, hi_ok, lo_vac, hi_vac = _index_checks(
-        sigma, nw2, half_int, low_level, high_level
-    )
-    width = int(((sigma > low_level) & (sigma < high_level)).sum())
-    return TransitionReport(
-        epsilon=epsilon,
-        width=width,
-        bound=2.0 * half,
-        lower_index=lo_i,
-        upper_index=hi_i,
-        lower_index_ok=lo_ok,
-        upper_index_ok=hi_ok,
-        width_ok=width <= 2.0 * half,
-        lower_vacuous=lo_vac,
-        upper_vacuous=hi_vac,
+    # The squares sum to the block's squared Frobenius norm L/p, up to the
+    # Gram noise floor (at most L values below GRAM_NOISE_FLOOR times the
+    # top one, which is <= 1, snap to zero) and rounding as for the trace.
+    total = math.fsum(sigma * sigma)
+    slack = length * (GRAM_NOISE_FLOOR + TRACE_ROUNDING * length)
+    if abs(total - length / p) > slack:
+        raise ParameterError(
+            f"singular values square-sum to {total!r}, not to L/p = {length / p!r}"
+        )
+    return _clustering_report(
+        sigma,
+        epsilon,
+        0.0 if p == 1 else transition_bound(length, m, epsilon),
+        2 * (length // (2 * p)),
+        math.sqrt(epsilon),
+        math.sqrt(1.0 - epsilon),
         cluster_point=length / p,
         submatrix=SubmatrixSpec(int(m), int(p), int(row_offset), int(col_offset)),
         singular_values=sigma,

@@ -25,27 +25,15 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .bounds import certify_dft_submatrix, certify_spectrum_clustering
-from .commuting import (
-    DegenerateFitError,
-    eigenvectors_via_tridiagonal,
-    fit_commuting_tridiagonal,
-)
+from .commuting import fit_commuting_tridiagonal
 from .eigensolve import (
     EigensolveError,
     eigh_householder_ql,
     singular_values_via_gram,
 )
-from .kernels import (
-    ParameterError,
-    ProlateParams,
-    dft_submatrix,
-    periodic_prolate,
-    sinc_prolate,
-)
-from .lowrank import lowrank_tail_split
+from .kernels import ParameterError, ProlateParams, dft_submatrix, periodic_prolate
+from .lowrank import certify_lowrank_split
 
 EXIT_OK = 0
 EXIT_CERTIFICATION = 1
@@ -195,6 +183,8 @@ def parse_args(argv: list[str]) -> RunConfig:
             raise UsageError(f"unexpected keys for ratio-sweep: {sorted(kv)}")
         return config
 
+    if command == "certify" and "p" not in kv and kv.keys() & {"row", "col"}:
+        raise UsageError("certify takes row= and col= only with p=")
     if "M" in kv:
         config.m = _parse_int("M", kv.pop("M"))
     if "N" in kv:
@@ -220,9 +210,8 @@ def parse_args(argv: list[str]) -> RunConfig:
     if command == "dft-sub" or (command == "certify" and config.p is not None):
         if config.m is None or config.p is None:
             raise UsageError(f"{command} requires M= and p=")
-        if config.n is not None or (config.k is not None):
-            if command == "certify":
-                raise UsageError("certify takes either M,N,K or M,p[,row,col]")
+        if config.n is not None or config.k is not None:
+            raise UsageError("certify takes either M,N,K or M,p[,row,col]")
     return config
 
 
@@ -292,12 +281,10 @@ def _run_eigs(config: RunConfig):
         f"cluster_point = {_fmt(params.cluster_point)}",
     ]
     rows = [[str(i), _fmt(v)] for i, v in enumerate(spectrum.values)]
-    return comments, "index,eigenvalue", rows, EXIT_OK
+    return comments, "index,eigenvalue", rows, True
 
 
 def _run_dft_sub(config: RunConfig):
-    if config.m is None or config.p is None:
-        raise UsageError("dft-sub requires M= and p=")
     sigma = singular_values_via_gram(
         dft_submatrix(config.m, config.p, config.row_offset, config.col_offset)
     )
@@ -307,191 +294,115 @@ def _run_dft_sub(config: RunConfig):
         f" row={config.row_offset} col={config.col_offset}",
     ]
     rows = [[str(i), _fmt(v)] for i, v in enumerate(sigma)]
-    return comments, "index,singular_value", rows, EXIT_OK
+    return comments, "index,singular_value", rows, True
 
 
-def _transition_rows(m: int, n: int, k: int, epsilons):
-    params = ProlateParams(M=m, N=n, K=k)
+def _mnk_cells(params: ProlateParams) -> list[str]:
+    return [str(params.M), str(params.N), str(params.K)]
+
+
+def _clustering_reports(params: ProlateParams, epsilons):
+    """Certificates at each eps, all from one spectrum of the prolate block."""
+    if params.N >= params.M:
+        raise UsageError(f"need N < M, got N={params.N}, M={params.M}")
     spectrum = eigh_householder_ql(periodic_prolate(params).dense())
-    rows = []
-    all_ok = True
-    for eps in epsilons:
-        report = certify_spectrum_clustering(params, eps, spectrum)
-        all_ok = all_ok and report.width_ok
-        row = [str(m), str(n), str(k), _fmt(eps), str(report.width)]
-        rows.append(row + [_fmt(report.bound), _fmt_bool(report.width_ok)])
-    return rows, all_ok
+    return [certify_spectrum_clustering(params, eps, spectrum) for eps in epsilons]
 
 
 def _run_transition(config: RunConfig):
-    header = "M,N,K,epsilon,width,bound_2R,pass"
     if config.sweep is None:
-        params = _params_from(config)
-        if params.N >= params.M:
-            raise UsageError("transition requires N < M")
-        rows, all_ok = _transition_rows(
-            params.M, params.N, params.K, config.epsilons
-        )
+        grid = [_params_from(config)]
         comments = ["transition width against twice the analytic half-width cap"]
     else:
         lo, hi = config.sweep
-        sizes = []
+        grid = []
         m = lo
         while m <= hi:
-            sizes.append(m)
+            grid.append(ProlateParams(M=m, N=m // 4, K=m // 8))
             m *= 2
         comments = [
             "doubling sweep with N = M/4, K = M/8",
             f"M from {lo} to {hi}",
         ]
-        results = [
-            _transition_rows(size, size // 4, size // 8, config.epsilons)
-            for size in sizes
-        ]
-        rows = [row for chunk, _ in results for row in chunk]
-        all_ok = all(ok for _, ok in results)
-    code = EXIT_OK if all_ok else EXIT_CERTIFICATION
-    return comments, header, rows, code
+    reports = [
+        report
+        for params in grid
+        for report in _clustering_reports(params, config.epsilons)
+    ]
+    rows = [
+        _mnk_cells(r.params)
+        + [_fmt(r.epsilon), str(r.width), _fmt(r.bound), _fmt_bool(r.width_ok)]
+        for r in reports
+    ]
+    header = "M,N,K,epsilon,width,bound_2R,pass"
+    return comments, header, rows, all(r.width_ok for r in reports)
+
+
+def _report_cells(report) -> list[str]:
+    """Certify cells after the location columns: eps, width, bound, verdicts."""
+    return [
+        _fmt(report.epsilon),
+        str(report.width),
+        _fmt(report.bound),
+        _fmt_bool(report.lower_index_ok),
+        _fmt_bool(report.upper_index_ok),
+        _fmt_bool(report.width_ok),
+        _fmt_bool(report.passed),
+    ]
 
 
 def _run_certify(config: RunConfig):
     if config.p is None:
         params = _params_from(config)
-        if params.N >= params.M:
-            raise UsageError("certify requires N < M")
-        spectrum = eigh_householder_ql(periodic_prolate(params).dense())
-        rows = []
-        all_ok = True
-        for eps in config.epsilons:
-            report = certify_spectrum_clustering(params, eps, spectrum)
-            all_ok = all_ok and report.passed
-            rows.append(
-                [
-                    str(params.M),
-                    str(params.N),
-                    str(params.K),
-                    _fmt(eps),
-                    str(report.width),
-                    _fmt(report.bound),
-                    _fmt_bool(report.lower_index_ok),
-                    _fmt_bool(report.upper_index_ok),
-                    _fmt_bool(report.width_ok),
-                    _fmt_bool(report.passed),
-                ]
-            )
+        reports = _clustering_reports(params, config.epsilons)
+        lead = _mnk_cells(params)
         comments = [
             "eigenvalue clustering certificates",
             f"cluster_point = {_fmt(params.cluster_point)}",
         ]
         header = "M,N,K,epsilon,width,bound_2R,lower_index_ok,upper_index_ok,width_ok,pass"
     else:
-        if config.m is None:
-            raise UsageError("certify requires M=")
-        if config.m % config.p != 0:
-            raise UsageError(f"p={config.p} does not divide M={config.m}")
-        sigma = singular_values_via_gram(
-            dft_submatrix(config.m, config.p, config.row_offset, config.col_offset)
-        )
-        rows = []
-        all_ok = True
-        for eps in config.epsilons:
-            report = certify_dft_submatrix(
-                config.m,
-                config.p,
-                config.row_offset,
-                config.col_offset,
-                eps,
-                singular_values=sigma,
-            )
-            all_ok = all_ok and report.passed
-            rows.append(
-                [
-                    str(config.m),
-                    str(config.p),
-                    str(config.row_offset),
-                    str(config.col_offset),
-                    _fmt(eps),
-                    str(report.width),
-                    _fmt(report.bound),
-                    _fmt_bool(report.lower_index_ok),
-                    _fmt_bool(report.upper_index_ok),
-                    _fmt_bool(report.width_ok),
-                    _fmt_bool(report.passed),
-                ]
-            )
+        where = (config.m, config.p, config.row_offset, config.col_offset)
+        sigma = singular_values_via_gram(dft_submatrix(*where))
+        reports = [
+            certify_dft_submatrix(*where, eps, singular_values=sigma)
+            for eps in config.epsilons
+        ]
+        lead = [str(value) for value in where]
         comments = ["singular-value clustering certificates for a DFT submatrix"]
         header = (
             "M,p,row,col,epsilon,width,bound_2R,"
             "lower_index_ok,upper_index_ok,width_ok,pass"
         )
-    code = EXIT_OK if all_ok else EXIT_CERTIFICATION
-    return comments, header, rows, code
+    rows = [lead + _report_cells(report) for report in reports]
+    return comments, header, rows, all(report.passed for report in reports)
 
 
 def _run_decompose(config: RunConfig):
     params = _params_from(config)
-    if params.N >= params.M:
-        raise UsageError("decompose requires N < M")
-    difference = (
-        periodic_prolate(params).dense() - sinc_prolate(params.N, params.W).dense()
-    )
-    rows = []
-    all_ok = True
-    for eps in config.epsilons:
-        parts = lowrank_tail_split(params, eps, order=config.order)
-        residual = difference - parts.lowrank
-        row_sum = float(np.abs(residual).sum(axis=1).max())
-        entry = float(np.abs(residual).max())
-        sigma = singular_values_via_gram(parts.lowrank)
-        if sigma.size and sigma[0] > 0.0:
-            rank = int((sigma > 1e-10 * sigma[0]).sum())
-        else:
-            rank = 0
-        ok = (
-            row_sum <= eps / 16.0
-            and entry <= eps / (16.0 * params.N)
-            and rank <= 4 * parts.order
-        )
-        all_ok = all_ok and ok
-        rows.append(
-            [
-                str(parts.order),
-                str(rank),
-                _fmt(parts.tail_bound),
-                _fmt(row_sum),
-                _fmt_bool(ok),
-            ]
-        )
+    certificates = certify_lowrank_split(params, config.epsilons, order=config.order)
+    rows = [
+        [
+            str(cert.order),
+            str(cert.rank),
+            _fmt(cert.tail_bound),
+            _fmt(cert.row_sum),
+            _fmt_bool(cert.passed),
+        ]
+        for cert in certificates
+    ]
     comments = [
         "low-rank + certified-tail split of (periodic - sinc) prolate kernels",
         f"M={params.M} N={params.N} K={params.K}",
         "epsilon per row: " + ",".join(_fmt(e) for e in config.epsilons),
     ]
     header = "R,rank_L2_certified,tail_bound,row_sum_residual,pass"
-    code = EXIT_OK if all_ok else EXIT_CERTIFICATION
-    return comments, header, rows, code
+    return comments, header, rows, all(cert.passed for cert in certificates)
 
 
 def _run_commute(config: RunConfig):
     params = _params_from(config)
-    dense = periodic_prolate(params).dense()
-    fit = fit_commuting_tridiagonal(dense)
-    compared = 0
-    max_dev = 0.0
-    min_align = 1.0
-    if not fit.degenerate:
-        direct = eigh_householder_ql(dense)
-        via_tri = eigenvectors_via_tridiagonal(fit, dense)
-        mask = ~np.isnan(fit.alignment)  # pairs separated by EIGENVALUE_GAP
-        compared = int(mask.sum())
-        if compared:
-            max_dev = float(np.abs(via_tri.values - direct.values)[mask].max())
-            min_align = float(fit.alignment[mask].min())
-    ok = (
-        not fit.degenerate
-        and fit.commutator_norm <= 1e-8
-        and max_dev <= 1e-8
-    )
+    fit = fit_commuting_tridiagonal(periodic_prolate(params).dense())
     comments = [
         "commuting symmetric tridiagonal recovered by least squares",
         f"M={params.M} N={params.N} K={params.K}",
@@ -502,16 +413,16 @@ def _run_commute(config: RunConfig):
             str(params.N),
             _fmt(fit.commutator_norm),
             _fmt_bool(fit.degenerate),
-            str(compared),
-            _fmt(max_dev),
-            _fmt(min_align),
-            _fmt_bool(ok),
+            str(fit.compared),
+            _fmt(fit.max_value_dev),
+            _fmt(fit.min_alignment),
+            _fmt_bool(fit.passed),
         ]
     ]
-    code = EXIT_OK if ok else EXIT_CERTIFICATION
-    return comments, header, rows, code
+    return comments, header, rows, fit.passed
 
 
+# Each runner returns (comments, header, rows, passed).
 _RUNNERS = {
     "eigs": _run_eigs,
     "transition": _run_transition,
@@ -524,7 +435,7 @@ _RUNNERS = {
 
 def run(config: RunConfig) -> int:
     """Execute a parsed configuration; writes output and returns the exit code."""
-    comments, header, rows, code = _RUNNERS[config.command](config)
+    comments, header, rows, passed = _RUNNERS[config.command](config)
     text = _render(config, comments, header, rows)
     if config.output_path is None:
         sys.stdout.write(text)
@@ -533,7 +444,7 @@ def run(config: RunConfig) -> int:
         sidecar = _sidecar(config, comments)
         if sidecar is not None:
             sidecar[0].write_text(sidecar[1])
-    return code
+    return EXIT_OK if passed else EXIT_CERTIFICATION
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -547,15 +458,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return run(config)
-    except UsageError as exc:
+    except (UsageError, ParameterError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except ParameterError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except DegenerateFitError as exc:
-        sys.stderr.write(json.dumps({"failure": "degenerate", "detail": str(exc)}) + "\n")
-        return EXIT_CERTIFICATION
     except EigensolveError as exc:
         sys.stderr.write(json.dumps({"failure": "numerical", "detail": str(exc)}) + "\n")
         return EXIT_NUMERICAL

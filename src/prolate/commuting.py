@@ -25,12 +25,21 @@ from .eigensolve import (
 from .kernels import ParameterError
 
 COMMUTATOR_TOL = 1e-8
+VALUE_DEV_TOL = 1e-8
 DEGENERACY_GAP = 1e-12
 EIGENVALUE_GAP = 1e-6
 
 
 class DegenerateFitError(EigensolveError):
     """The commuting-tridiagonal family is not unique; no single fit exists."""
+
+
+def _tridiagonal(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
+    t = np.diag(diag)
+    idx = np.arange(diag.size - 1)
+    t[idx, idx + 1] = offdiag
+    t[idx + 1, idx] = offdiag
+    return t
 
 
 @dataclass
@@ -40,9 +49,14 @@ class TridiagonalFit:
     ``commutator_norm`` is ||BT - TB||_F for the unit-Frobenius-norm fit;
     ``degenerate`` flags (near-)equal smallest singular values of the
     commutation operator, i.e. multiple commuting tridiagonals.
-    ``alignment[j]`` is |<v_B, v_T>| for eigenvector pairs whose direct
-    eigenvalue is separated from its neighbours by more than 1e-6; the
-    slots of closer pairs hold NaN.
+
+    A non-degenerate fit within COMMUTATOR_TOL is checked against the
+    direct eigendecomposition of B: ``alignment[j]`` is |<v_B, v_T>| for
+    eigenvector pairs whose direct eigenvalue is separated from its
+    neighbours by more than EIGENVALUE_GAP (NaN for closer pairs), over
+    which ``compared``, ``max_value_dev`` (Rayleigh quotient against
+    direct eigenvalue) and ``min_alignment`` are taken.  Otherwise
+    ``alignment`` is None and nothing is compared.
     """
 
     diag: np.ndarray
@@ -50,18 +64,26 @@ class TridiagonalFit:
     commutator_norm: float
     degenerate: bool
     smallest_fit_values: np.ndarray = field(repr=False)
-    alignment: np.ndarray = field(repr=False, default=None)
+    alignment: np.ndarray | None = field(repr=False, default=None)
+    compared: int = 0
+    max_value_dev: float = 0.0
+    min_alignment: float = 1.0
 
     @property
     def n(self) -> int:
         return self.diag.size
 
+    @property
+    def passed(self) -> bool:
+        """Unique, commuting, and matching the direct eigenvalues."""
+        return (
+            not self.degenerate
+            and self.commutator_norm <= COMMUTATOR_TOL
+            and self.max_value_dev <= VALUE_DEV_TOL
+        )
+
     def dense(self) -> np.ndarray:
-        t = np.diag(self.diag)
-        idx = np.arange(self.n - 1)
-        t[idx, idx + 1] = self.offdiag
-        t[idx + 1, idx] = self.offdiag
-        return t
+        return _tridiagonal(self.diag, self.offdiag)
 
 
 def _commutation_columns(b: np.ndarray) -> np.ndarray:
@@ -103,12 +125,10 @@ def _traceless_basis(n_params: int, n_diag: int) -> np.ndarray:
     return h[:, 1:]
 
 
-def _pair_alignment(b: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _compare_with_direct(fit: TridiagonalFit, b: np.ndarray) -> None:
+    """Fill the fit's comparison fields from one direct eigendecomposition."""
     direct = eigh_householder_ql(b, want_vectors=True)
-    tri = eigh_householder_ql(t, want_vectors=True)
-    rayleigh = np.einsum("ij,ij->j", tri.vectors, b @ tri.vectors)
-    order = np.argsort(-rayleigh, kind="stable")
-    tvecs = tri.vectors[:, order]
+    via_tri = eigenvectors_via_tridiagonal(fit, b)
     lam = direct.values
     n = lam.size
     gaps = np.full(n, np.inf)
@@ -116,11 +136,14 @@ def _pair_alignment(b: np.ndarray, t: np.ndarray) -> np.ndarray:
         step = np.abs(np.diff(lam))
         gaps[:-1] = np.minimum(gaps[:-1], step)
         gaps[1:] = np.minimum(gaps[1:], step)
-    alignment = np.full(n, np.nan)
     separated = gaps > EIGENVALUE_GAP
-    inner = np.abs(np.einsum("ij,ij->j", direct.vectors, tvecs))
-    alignment[separated] = inner[separated]
-    return alignment
+    inner = np.abs(np.einsum("ij,ij->j", direct.vectors, via_tri.vectors))
+    fit.alignment = np.full(n, np.nan)
+    fit.alignment[separated] = inner[separated]
+    fit.compared = int(separated.sum())
+    if fit.compared:
+        fit.max_value_dev = float(np.abs(via_tri.values - lam)[separated].max())
+        fit.min_alignment = float(fit.alignment[separated].min())
 
 
 def fit_commuting_tridiagonal(b) -> TridiagonalFit:
@@ -130,7 +153,9 @@ def fit_commuting_tridiagonal(b) -> TridiagonalFit:
     ||BT - TB||_F, found as the smallest eigenvector of the (2N-2) x
     (2N-2) normal-equations Gram.  When the two smallest singular values
     of the commutation operator coincide to 1e-12 the fit is flagged
-    degenerate: several tridiagonals commute equally well.
+    degenerate: several tridiagonals commute equally well.  A
+    non-degenerate fit within COMMUTATOR_TOL is then compared with the
+    direct eigendecomposition of B (see :class:`TridiagonalFit`).
     """
     b = _as_dense_symmetric(b)
     n = b.shape[0]
@@ -146,10 +171,7 @@ def fit_commuting_tridiagonal(b) -> TridiagonalFit:
     x = basis @ spec.vectors[:, -1]
     diag = x[:n].copy()
     offdiag = x[n:] / math.sqrt(2.0)
-    t = np.diag(diag)
-    idx = np.arange(n - 1)
-    t[idx, idx + 1] = offdiag
-    t[idx + 1, idx] = offdiag
+    t = _tridiagonal(diag, offdiag)
     norm = math.sqrt(float((t * t).sum()))
     if norm > 0.0:
         t /= norm
@@ -157,16 +179,16 @@ def fit_commuting_tridiagonal(b) -> TridiagonalFit:
         offdiag = offdiag / norm
     commutator = b @ t - t @ b
     commutator_norm = math.sqrt(float((commutator * commutator).sum()))
-    degenerate = bool(fit_values[1] - fit_values[0] <= DEGENERACY_GAP)
-    alignment = None if degenerate else _pair_alignment(b, t)
-    return TridiagonalFit(
+    fit = TridiagonalFit(
         diag=diag,
         offdiag=offdiag,
         commutator_norm=commutator_norm,
-        degenerate=degenerate,
+        degenerate=bool(fit_values[1] - fit_values[0] <= DEGENERACY_GAP),
         smallest_fit_values=fit_values,
-        alignment=alignment,
     )
+    if not fit.degenerate and commutator_norm <= COMMUTATOR_TOL:
+        _compare_with_direct(fit, b)
+    return fit
 
 
 def eigenvectors_via_tridiagonal(fit: TridiagonalFit, b) -> Spectrum:

@@ -11,8 +11,7 @@ eigenvalue twice; a real matrix's Gram is real symmetric already.
 The two hot kernels keep their scalar recurrences in Python but apply
 each plane rotation as in-place numpy updates of whole columns, with the
 same per-element arithmetic as an element-by-element loop, so results are
-bitwise identical to it.  When numba is importable both kernels are
-JIT-compiled; that compiled path is unverified.
+bitwise identical to it.
 """
 from __future__ import annotations
 
@@ -22,19 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import ParameterError, SymbolMatrix
-
-try:  # optional acceleration only; the fallback is the same code object
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - environment without numba
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        return wrap
 
 
 class EigensolveError(RuntimeError):
@@ -259,11 +245,6 @@ def _jacobi_cyclic(a, v, want_v, max_sweeps):
                     viq *= c
                     viq += sp
     return -1
-
-
-if _HAVE_NUMBA:
-    _ql_implicit = njit(cache=True)(_ql_implicit)
-    _jacobi_cyclic = njit(cache=True)(_jacobi_cyclic)
 
 
 def _fix_vector_signs(vectors: np.ndarray) -> None:

@@ -23,8 +23,21 @@ from fractions import Fraction
 
 import numpy as np
 
-from .eigensolve import eigh_householder_ql
-from .kernels import ParameterError, ProlateParams, partial_fourier, sinc_prolate
+from .bounds import _check_epsilon
+from .eigensolve import eigh_householder_ql, singular_values_via_gram
+from .kernels import (
+    ParameterError,
+    ProlateParams,
+    partial_fourier,
+    periodic_prolate,
+    sinc_prolate,
+)
+
+# A split is certified when its tail takes at most eps/TAIL_SHARE in max
+# row sum (eps/(TAIL_SHARE*N) per entry) and its low-rank part has at most
+# 4R singular values above RANK_CUT times the largest.
+TAIL_SHARE = 16.0
+RANK_CUT = 1e-10
 
 # pi to 62 decimals: its relative error (< 1e-62), raised to a power
 # s <= 200, stays far below half an ulp, so eta_even rounds only once.
@@ -97,9 +110,7 @@ def _tail_symbol(params: ProlateParams, r: int, offsets: np.ndarray) -> np.ndarr
 
 def truncation_order(params: ProlateParams, epsilon: float) -> int:
     """Ceiling of max(-log(8*pi*((M/N)^2-1)*eps) / (2 log(M/N)), 0)."""
-    epsilon = float(epsilon)
-    if not 0.0 < epsilon < 0.5:
-        raise ParameterError(f"epsilon must lie in (0, 1/2), got {epsilon}")
+    epsilon = _check_epsilon(epsilon)
     if params.N >= params.M:
         raise ParameterError(f"need N < M, got N={params.N}, M={params.M}")
     ratio = params.M / params.N
@@ -127,15 +138,13 @@ def certified_order(params: ProlateParams, epsilon: float) -> int:
     Closed form: ceiling of max(-log(pi/32*((M/N)^2-1)*eps)/(2 log(M/N)), 0);
     note this is always at least the value of :func:`truncation_order`.
     """
-    epsilon = float(epsilon)
-    if not 0.0 < epsilon < 0.5:
-        raise ParameterError(f"epsilon must lie in (0, 1/2), got {epsilon}")
+    epsilon = _check_epsilon(epsilon)
     if params.N >= params.M:
         raise ParameterError(f"need N < M, got N={params.N}, M={params.M}")
     ratio = params.M / params.N
     arg = math.pi / 32.0 * (ratio**2 - 1.0) * epsilon
     order = math.ceil(max(-math.log(arg) / (2.0 * math.log(ratio)), 0.0))
-    while tail_bound_at(params, order) > epsilon / 16.0:  # float-boundary guard
+    while tail_bound_at(params, order) > epsilon / TAIL_SHARE:  # float-boundary guard
         order += 1
     return order
 
@@ -214,6 +223,66 @@ def lowrank_tail_split(
     )
 
 
+@dataclass(frozen=True)
+class SplitCertificate:
+    """Verdict on one split, measured against the kernel difference itself.
+
+    ``row_sum`` and ``entry`` are the maximum absolute row sum and entry of
+    (periodic - sinc) minus the low-rank part; ``rank`` counts singular
+    values of the low-rank part above RANK_CUT times the largest.
+    """
+
+    epsilon: float
+    n: int
+    order: int
+    rank: int
+    tail_bound: float
+    row_sum: float
+    entry: float
+
+    @property
+    def passed(self) -> bool:
+        return (
+            self.row_sum <= self.epsilon / TAIL_SHARE
+            and self.entry <= self.epsilon / (TAIL_SHARE * self.n)
+            and self.rank <= 4 * self.order
+        )
+
+
+def certify_lowrank_split(
+    params: ProlateParams, epsilons, order: int | None = None
+) -> list[SplitCertificate]:
+    """Split (periodic - sinc) at each eps and certify the split numerically.
+
+    The difference is built once; each eps gets :func:`lowrank_tail_split`
+    (at ``order`` if given) and the residual and rank measurements that
+    :class:`SplitCertificate` judges.
+    """
+    if params.N >= params.M:
+        raise ParameterError(f"need N < M, got N={params.N}, M={params.M}")
+    difference = (
+        periodic_prolate(params).dense() - sinc_prolate(params.N, params.W).dense()
+    )
+    certificates = []
+    for epsilon in epsilons:
+        parts = lowrank_tail_split(params, _check_epsilon(epsilon), order=order)
+        residual = np.abs(difference - parts.lowrank)
+        sigma = singular_values_via_gram(parts.lowrank)
+        top = sigma[0] if sigma.size else 0.0
+        certificates.append(
+            SplitCertificate(
+                epsilon=parts.epsilon,
+                n=params.N,
+                order=parts.order,
+                rank=int((sigma > RANK_CUT * top).sum()) if top > 0.0 else 0,
+                tail_bound=parts.tail_bound,
+                row_sum=float(residual.sum(axis=1).max()),
+                entry=float(residual.max()),
+            )
+        )
+    return certificates
+
+
 def projector_gap_rank(n: int, w: float, epsilon: float) -> tuple[int, float]:
     """Effective rank of (sinc prolate) minus (partial Fourier projector).
 
@@ -222,9 +291,7 @@ def projector_gap_rank(n: int, w: float, epsilon: float) -> tuple[int, float]:
     (4/pi^2 log(8n) + 6) * log(15/eps); the count is expected to stay at
     or below the cap.
     """
-    epsilon = float(epsilon)
-    if not 0.0 < epsilon < 0.5:
-        raise ParameterError(f"epsilon must lie in (0, 1/2), got {epsilon}")
+    epsilon = _check_epsilon(epsilon)
     frame = partial_fourier(n, w)
     projector = frame @ frame.conj().T
     # the frequency grid is symmetric, so the projector is real analytically

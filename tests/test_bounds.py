@@ -140,6 +140,17 @@ def test_certify_dft_reuses_singular_values():
     assert report.passed
 
 
+def test_certify_dft_rejects_mismatched_singular_values():
+    # same L = 256 but p = 4 instead of 8: squares sum to 64, not L/p = 32
+    sigma = pr.singular_values_via_gram(pr.dft_submatrix(1024, 4, 3, 7))
+    with pytest.raises(pr.ParameterError, match="L/p"):
+        pr.certify_dft_submatrix(2048, 8, 3, 7, 1e-3, singular_values=sigma)
+    with pytest.raises(pr.ParameterError, match="L/p"):
+        pr.certify_dft_submatrix(1024, 4, 3, 7, 1e-3, singular_values=sigma * 1.001)
+    report = pr.certify_dft_submatrix(1024, 4, 3, 7, 1e-3, singular_values=sigma)
+    assert report.passed
+
+
 @pytest.mark.parametrize("m", [32, 64, 128])
 @pytest.mark.parametrize("eps", [1e-3, 1e-6])
 def test_certification_grid_mini(m, eps):

@@ -4,8 +4,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prolate.cli import main, parse_args
+import prolate
+from prolate.cli import _KEYS, UsageError, main, parse_args
 
 
 def test_parse_rejects_garbage():
@@ -21,6 +24,7 @@ def test_parse_rejects_garbage():
         ["transition", "ratio-sweep", "M=100..400"],
         ["transition", "ratio-sweep", "M=512..64"],
         ["certify", "M=64", "N=16", "K=8", "p=4"],
+        ["certify", "M=64", "N=16", "K=7", "row=3", "col=5"],
         ["decompose", "M=64", "N=16", "K=8", "order=-1"],
         ["eigs", "ratio-sweep", "M=64..128"],
     ):
@@ -33,6 +37,56 @@ def test_parse_round_trip():
     assert (config.m, config.p) == (1024, 4)
     assert (config.row_offset, config.col_offset) == (3, 7)
     assert config.epsilons == (1e-3, 1e-6)
+
+
+_INT_FIELDS = {
+    "M": "m", "N": "n", "K": "k", "p": "p", "row": "row_offset",
+    "col": "col_offset", "order": "order",
+}
+_VALUES = st.one_of(
+    st.integers(-3, 5000).map(str),
+    st.sampled_from(["", "1e3", "0x10", "7.0", "1e-3", "csv", "json", "a..b"]),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(sorted(_KEYS)),
+    pairs=st.lists(
+        st.tuples(st.sampled_from(sorted(_INT_FIELDS) + ["eps", "format", "bogus"]),
+                  _VALUES),
+        max_size=7,
+    ),
+)
+def test_parse_args_rejects_or_round_trips(command, pairs):
+    argv = [command] + [f"{key}={value}" for key, value in pairs]
+    try:
+        config = parse_args(argv)
+    except UsageError:
+        return
+    assert config.command == command
+    for key, value in pairs:
+        if key in _INT_FIELDS:
+            assert getattr(config, _INT_FIELDS[key]) == int(value, 10)
+
+
+def test_commute_eigendecomposes_each_matrix_once(monkeypatch, capsys):
+    # the (2N-2) Gram of the fit, B and the tridiagonal T: three solves
+    original = prolate.eigh_householder_ql
+    sizes = []
+
+    def counting(a, want_vectors=False):
+        sizes.append(len(a))
+        return original(a, want_vectors=want_vectors)
+
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "eigh_householder_ql", None)
+        if name.startswith("prolate") and bound is original:
+            monkeypatch.setattr(module, "eigh_householder_ql", counting)
+    assert main(["commute", "M=64", "N=16", "K=7"]) == 0
+    capsys.readouterr()
+    assert sorted(sizes) == [16, 16, 30]
 
 
 def test_invalid_model_parameters_exit_2(capsys):

@@ -50,6 +50,34 @@ def test_prolate_fit_alignment():
     assert finite.min() >= 0.999
 
 
+def test_prolate_fit_verdict_fields():
+    dense = _prolate_dense(64, 16, 7)
+    fit = pr.fit_commuting_tridiagonal(dense)
+    assert fit.passed
+    assert fit.compared == int(np.isfinite(fit.alignment).sum()) > 0
+    assert fit.min_alignment == fit.alignment[np.isfinite(fit.alignment)].min()
+    assert 0.999 <= fit.min_alignment <= 1.0 + 1e-12
+    # the deviation is taken against a values-only direct solve, bit for bit
+    direct = pr.eigh_householder_ql(dense)
+    via_tri = pr.eigenvectors_via_tridiagonal(fit, dense)
+    mask = np.isfinite(fit.alignment)
+    assert fit.max_value_dev == np.abs(via_tri.values - direct.values)[mask].max()
+    assert fit.max_value_dev <= 1e-8
+
+
+def test_failed_fits_compare_nothing():
+    degenerate = pr.fit_commuting_tridiagonal(np.eye(6))
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((8, 8))
+    noncommuting = pr.fit_commuting_tridiagonal(a + a.T)
+    assert not noncommuting.degenerate
+    assert noncommuting.commutator_norm > 1e-8
+    for fit in (degenerate, noncommuting):
+        assert not fit.passed
+        assert fit.alignment is None
+        assert (fit.compared, fit.max_value_dev, fit.min_alignment) == (0, 0.0, 1.0)
+
+
 @pytest.mark.parametrize("m,n,k", [(64, 16, 7), (96, 48, 11), (128, 32, 15)])
 def test_fit_succeeds_on_admissible_parameters(m, n, k):
     fit = pr.fit_commuting_tridiagonal(_prolate_dense(m, n, k))

@@ -180,6 +180,30 @@ def test_split_with_undersized_order_violates_certificate():
     assert parts.tail_bound > eps / 16.0
 
 
+def test_split_certificate_verdicts():
+    eps = 1e-3
+    (good,) = pr.certify_lowrank_split(PARAMS, [eps])
+    assert good.order == pr.certified_order(PARAMS, eps) == 3
+    assert good.passed
+    assert good.row_sum <= eps / 16.0 and good.entry <= eps / (16.0 * PARAMS.N)
+    assert 0 < good.rank <= 4 * good.order
+    (short,) = pr.certify_lowrank_split(PARAMS, [eps], order=1)
+    assert short.order == 1
+    assert short.row_sum > eps / 16.0
+    assert not short.passed
+
+
+def test_split_certificate_one_per_epsilon():
+    certs = pr.certify_lowrank_split(PARAMS, (1e-3, 1e-6))
+    assert [c.epsilon for c in certs] == [1e-3, 1e-6]
+    assert [c.order for c in certs] == [3, 5]
+    assert all(c.passed for c in certs)
+    with pytest.raises(pr.ParameterError):
+        pr.certify_lowrank_split(PARAMS, [0.6])
+    with pytest.raises(pr.ParameterError):
+        pr.certify_lowrank_split(pr.ProlateParams(M=64, N=64, K=5), [1e-3])
+
+
 @pytest.mark.parametrize("eps", [1e-3, 1e-6])
 def test_combined_split_effective_rank(eps):
     # periodic block minus the partial Fourier projector: the number of
