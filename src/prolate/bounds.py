@@ -86,6 +86,13 @@ class TransitionReport:
     index inequalities plus the width comparison.  Vacuous flags mark
     index checks that fell outside the valid range and therefore hold
     trivially; ``cluster_point`` is where the near-unit plateau ends.
+
+    The margins say how close each check came to failing; each verdict
+    holds exactly when its margin is >= 0.  ``width_margin`` is
+    ``bound - width``; ``lower_margin`` is ``values[lower_index]`` minus
+    the upper level 1 - eps (or sqrt(1 - eps) for singular values);
+    ``upper_margin`` is the lower level eps (or sqrt(eps)) minus
+    ``values[upper_index]``.  A vacuous index check has margin None.
     """
 
     epsilon: float
@@ -99,6 +106,9 @@ class TransitionReport:
     lower_vacuous: bool
     upper_vacuous: bool
     cluster_point: float
+    width_margin: float
+    lower_margin: float | None
+    upper_margin: float | None
     params: ProlateParams | None = None
     submatrix: SubmatrixSpec | None = None
     spectrum: Spectrum | None = field(default=None, repr=False)
@@ -123,17 +133,25 @@ def _clustering_report(
     lower_vacuous = lower_index < 0 or lower_index >= n
     upper_vacuous = upper_index < 0 or upper_index >= n
     width = int(((values > low_level) & (values < high_level)).sum())
+    bound = 2.0 * half
+    # IEEE subtraction is exact in sign, so each margin is >= 0 exactly
+    # when the comparison it stands for holds
+    lower_margin = None if lower_vacuous else float(values[lower_index] - high_level)
+    upper_margin = None if upper_vacuous else float(low_level - values[upper_index])
     return TransitionReport(
         epsilon=epsilon,
         width=width,
-        bound=2.0 * half,
+        bound=bound,
         lower_index=lower_index,
         upper_index=upper_index,
         lower_index_ok=lower_vacuous or bool(values[lower_index] >= high_level),
         upper_index_ok=upper_vacuous or bool(values[upper_index] <= low_level),
-        width_ok=width <= 2.0 * half,
+        width_ok=width <= bound,
         lower_vacuous=lower_vacuous,
         upper_vacuous=upper_vacuous,
+        width_margin=bound - width,
+        lower_margin=lower_margin,
+        upper_margin=upper_margin,
         **where,
     )
 

@@ -21,6 +21,7 @@ error, 3 numerical failure (solver non-convergence).
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,6 +42,9 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 DEFAULT_EPSILONS = (1e-3, 1e-6, 1e-9, 1e-12)
+# Largest ratio-sweep end.  The last step diagonalises a dense N = M/4
+# block: 2048 x 2048 (32 MB), about 27 s on two cores without numba.
+SWEEP_MAX_M = 8192
 
 USAGE = """\
 usage: prolate COMMAND key=value ...
@@ -96,10 +100,13 @@ def _fmt_bool(flag: bool) -> str:
 
 
 def _parse_int(key: str, text: str) -> int:
-    try:
-        return int(text, 10)
-    except ValueError:
-        raise UsageError(f"{key} must be a decimal integer, got {text!r}") from None
+    """ASCII decimal digits with an optional leading minus, nothing else."""
+    if re.fullmatch(r"-?[0-9]+", text) is not None:
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise UsageError(f"{key} must be a decimal integer, got {text!r}")
 
 
 def _parse_eps_list(text: str) -> tuple[float, ...]:
@@ -178,6 +185,10 @@ def parse_args(argv: list[str]) -> RunConfig:
             raise UsageError("sweep start must be a positive multiple of 8")
         if hi < lo:
             raise UsageError("sweep end must be >= its start")
+        if hi > SWEEP_MAX_M:
+            raise UsageError(
+                f"sweep end must be <= {SWEEP_MAX_M} (dense N = M/4 blocks), got {hi}"
+            )
         config.sweep = (lo, hi)
         if kv:
             raise UsageError(f"unexpected keys for ratio-sweep: {sorted(kv)}")

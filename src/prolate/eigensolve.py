@@ -11,7 +11,9 @@ eigenvalue twice; a real matrix's Gram is real symmetric already.
 The two hot kernels keep their scalar recurrences in Python but apply
 each plane rotation as in-place numpy updates of whole columns, with the
 same per-element arithmetic as an element-by-element loop, so results are
-bitwise identical to it.
+bitwise identical to it.  The QL recurrence itself runs on Python floats
+copied out of the tridiagonal, because indexing numpy scalars dominated it;
+both are IEEE doubles, so this too leaves every bit of the output unchanged.
 """
 from __future__ import annotations
 
@@ -124,8 +126,15 @@ def _ql_implicit(d, e, z, want_z, budget):
     d: diagonal (n,), e: subdiagonal in e[0..n-2] with e[n-1] as workspace;
     both are overwritten.  When want_z, the rotations are accumulated into
     the columns of z.  Returns the unused budget, or -1 on non-convergence.
+
+    The scalar recurrence runs on Python floats copied out of d and e, since
+    reading and writing numpy scalars dominated its cost; both types are IEEE
+    doubles, so values, vectors and step counts are bitwise identical to the
+    same recurrence run on the arrays.  d and e are written back on return.
     """
     n = d.shape[0]
+    d_out, e_out = d, e
+    d, e = d.tolist(), e.tolist()
     for l in range(n):
         while True:
             m = l
@@ -138,6 +147,8 @@ def _ql_implicit(d, e, z, want_z, budget):
                 break
             budget -= 1
             if budget < 0:
+                d_out[:] = d
+                e_out[:] = e
                 return -1
             g = (d[l + 1] - d[l]) / (2.0 * e[l])
             r = math.hypot(g, 1.0)
@@ -179,6 +190,8 @@ def _ql_implicit(d, e, z, want_z, budget):
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
+    d_out[:] = d
+    e_out[:] = e
     return budget
 
 

@@ -193,3 +193,52 @@ def test_width_growth_is_logarithmic_under_doubling():
         assert widths[large] >= widths[small]
         if small >= 256:
             assert widths[large] / widths[small] <= 1.5
+
+
+def _assert_margins_match_verdicts(report):
+    assert report.width_ok == (report.width_margin >= 0.0)
+    assert report.width_margin == report.bound - report.width
+    for ok, vacuous, margin in (
+        (report.lower_index_ok, report.lower_vacuous, report.lower_margin),
+        (report.upper_index_ok, report.upper_vacuous, report.upper_margin),
+    ):
+        assert vacuous == (margin is None)
+        assert ok == (vacuous or margin >= 0.0)
+
+
+def test_margins_match_verdicts():
+    params = pr.ProlateParams(M=1024, N=256, K=128)
+    spectrum = pr.eigh_householder_ql(pr.periodic_prolate(params).dense())
+    lam = spectrum.values
+    for eps in (1e-3, 1e-12):
+        report = pr.certify_spectrum_clustering(params, eps, spectrum)
+        _assert_margins_match_verdicts(report)
+        if not report.upper_vacuous:
+            assert report.upper_margin == eps - lam[report.upper_index]
+    report = pr.certify_dft_submatrix(1024, 4, 3, 7, 1e-6)
+    _assert_margins_match_verdicts(report)
+    assert report.upper_margin == math.sqrt(1e-6) - report.singular_values[
+        report.upper_index
+    ]
+
+
+def test_margins_sign_on_failing_and_boundary_checks():
+    from prolate.bounds import _clustering_report
+
+    # indices 1 and 4 around nw2 = 2 with half-width 0.4 (bound 0.8)
+    levels = dict(epsilon=0.1, half=0.4, nw2=2, low_level=0.1, high_level=0.9)
+    failing = _clustering_report(
+        np.array([0.99, 0.5, 0.5, 0.5, 0.2]), cluster_point=2.5, **levels
+    )
+    assert not (failing.lower_index_ok or failing.upper_index_ok or failing.width_ok)
+    assert failing.lower_margin == 0.5 - 0.9
+    assert failing.upper_margin == 0.1 - 0.2
+    assert failing.width_margin == 0.8 - 4
+    _assert_margins_match_verdicts(failing)
+    # a value exactly on its level passes with margin zero
+    boundary = _clustering_report(
+        np.array([1.0, 0.9, 1.0, 1.0, 0.1]), cluster_point=4.0, **levels
+    )
+    assert (boundary.lower_margin, boundary.upper_margin) == (0.0, 0.0)
+    assert boundary.lower_index_ok and boundary.upper_index_ok
+    _assert_margins_match_verdicts(boundary)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prolate
-from prolate.cli import _KEYS, UsageError, main, parse_args
+from prolate.cli import _KEYS, SWEEP_MAX_M, UsageError, main, parse_args
 
 
 def test_parse_rejects_garbage():
@@ -27,8 +27,26 @@ def test_parse_rejects_garbage():
         ["certify", "M=64", "N=16", "K=7", "row=3", "col=5"],
         ["decompose", "M=64", "N=16", "K=8", "order=-1"],
         ["eigs", "ratio-sweep", "M=64..128"],
+        # integers are ASCII decimal digits with an optional leading minus
+        ["eigs", "M=6_4", "N=16", "K=7"],
+        ["eigs", "M=64", "N=+16", "K=7"],
+        ["eigs", "M=64", "N=16", "K= 7"],
+        ["eigs", "M=64", "N=16 ", "K=7"],
+        ["eigs", "M=\u0666\u0664", "N=16", "K=7"],
+        ["transition", "ratio-sweep", "M=64..\uff14\uff10\uff19\uff16"],
+        ["eigs", "M=" + "1" * 5000, "N=16", "K=7"],
     ):
         assert main(argv) == 2, argv
+
+
+def test_ratio_sweep_end_is_capped():
+    # parsed only: the sweeps are never run
+    top = parse_args(["transition", "ratio-sweep", f"M=64..{SWEEP_MAX_M}"])
+    assert top.sweep == (64, SWEEP_MAX_M)
+    for hi in (2048, 4096):
+        assert parse_args(["transition", "ratio-sweep", f"M=64..{hi}"]).sweep == (64, hi)
+    with pytest.raises(UsageError, match=str(SWEEP_MAX_M)):
+        parse_args(["transition", "ratio-sweep", f"M=64..{SWEEP_MAX_M + 8}"])
 
 
 def test_parse_round_trip():

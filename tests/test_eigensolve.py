@@ -419,6 +419,36 @@ def test_vectorised_kernels_match_scalar_reference_bitwise(solver, reference):
         assert got.iterations == want.iterations, label
 
 
+def _reference_ql_values(a):
+    sym = es._as_dense_symmetric(a)
+    n = sym.shape[0]
+    d, e, _ = es._householder_tridiag(sym.copy(), False)
+    budget = es.QL_BUDGET_PER_ROW * n
+    left = _ql_implicit_scalar(d, e, np.empty((0, 0)), False, budget)
+    assert left >= 0
+    return es._finish(sym, d, None, "householder_ql", budget - left)
+
+
+def _values_only_inputs():
+    yield from _reference_inputs()
+    yield "prolate-1024-256-128", pr.periodic_prolate(
+        pr.ProlateParams(M=1024, N=256, K=128)
+    ).dense()
+    # the 2L embedding carries every Gram eigenvalue as an exact pair
+    f = pr.dft_submatrix(64, 4, 3, 7)
+    yield "dft-64-4-3-7-embedding", es.hermitian_embedding(f.conj().T @ f)
+
+
+def test_values_only_ql_matches_scalar_reference_bitwise():
+    for label, a in _values_only_inputs():
+        got = pr.eigh_householder_ql(a)
+        want = _reference_ql_values(a)
+        assert np.array_equal(got.values, want.values), label
+        assert got.iterations == want.iterations, label
+        with_vectors = pr.eigh_householder_ql(a, want_vectors=True)
+        assert np.array_equal(got.values, with_vectors.values), label
+
+
 def test_iteration_counts_recorded_within_budget():
     rng = np.random.default_rng(13)
     a = _random_symmetric(rng, 24)
