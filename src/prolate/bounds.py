@@ -25,8 +25,8 @@ from .kernels import ParameterError, ProlateParams, dft_submatrix, periodic_prol
 
 # A spectrum must sum to the block's trace N(2K+1)/M.  Its sum is the trace
 # of A + E, E the solver's backward error with ||E||_2 ~ n u ||A||_2, and
-# ||A||_2 <= 1 here, so |trace E| <= n ||E||_2 ~ N^2 u (measured <= 1.4e-14
-# up to N = 768).  K +/- 1 shifts the trace by 2N/M, outside for M < 1/(2Nu).
+# ||A||_2 <= 1 here, so |trace E| <= n ||E||_2 ~ N^2 u (measured <= 5.7e-14
+# up to N = 2048).  K +/- 1 shifts the trace by 2N/M, outside for M < 1/(2Nu).
 TRACE_ROUNDING = 4.0 * 2.0**-52
 
 

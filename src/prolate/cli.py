@@ -43,8 +43,17 @@ EXIT_NUMERICAL = 3
 
 DEFAULT_EPSILONS = (1e-3, 1e-6, 1e-9, 1e-12)
 # Largest ratio-sweep end.  The last step diagonalises a dense N = M/4
-# block: 2048 x 2048 (32 MB), about 27 s on two cores without numba.
+# block: `transition M=8192 N=2048 K=1024` takes 4.0 s and 158 MB peak on
+# two cores without numba.
 SWEEP_MAX_M = 8192
+# Largest dense matrix the eigensolver is given: N for the M= N= K=
+# commands, 2L = 2M/p for the Hermitian embedding behind certify M= p= and
+# dft-sub.  At the limit `eigs M=16384 N=4096 K=2048` takes 21 s and 542 MB
+# peak, `dft-sub M=4096 p=2` 22 s and 612 MB (two cores, no numba).
+MAX_DENSE_DIM = 4096
+# commute builds an N^2 x (2N-1) float64 commutation operator.  32 MiB
+# admits N <= 128: `commute M=512 N=128 K=63` takes 1.2 s and 132 MB peak.
+COMMUTE_MAX_OPERATOR_BYTES = 32 * 2**20
 
 USAGE = """\
 usage: prolate COMMAND key=value ...
@@ -223,7 +232,27 @@ def parse_args(argv: list[str]) -> RunConfig:
             raise UsageError(f"{command} requires M= and p=")
         if config.n is not None or config.k is not None:
             raise UsageError("certify takes either M,N,K or M,p[,row,col]")
+    _check_size(config)
     return config
+
+
+def _check_size(config: RunConfig) -> None:
+    """Reject, before anything is allocated, work past the size limits."""
+    if config.n is not None:
+        if config.n > MAX_DENSE_DIM:
+            raise UsageError(f"N must be <= {MAX_DENSE_DIM}, got {config.n}")
+        operator_bytes = 8 * config.n**2 * (2 * config.n - 1)
+        if config.command == "commute" and operator_bytes > COMMUTE_MAX_OPERATOR_BYTES:
+            raise UsageError(
+                f"commute needs an N^2 x (2N-1) operator of {operator_bytes} bytes"
+                f" for N={config.n}; the limit is {COMMUTE_MAX_OPERATOR_BYTES}"
+            )
+    if config.p is not None and config.p > 0:
+        dim = 2 * (config.m // config.p)
+        if dim > MAX_DENSE_DIM:
+            raise UsageError(
+                f"2M/p must be <= {MAX_DENSE_DIM} (the Gram's real embedding), got {dim}"
+            )
 
 
 def _params_from(config: RunConfig) -> ProlateParams:

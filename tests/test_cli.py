@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prolate
-from prolate.cli import _KEYS, SWEEP_MAX_M, UsageError, main, parse_args
+from prolate.cli import (
+    _KEYS,
+    COMMUTE_MAX_OPERATOR_BYTES,
+    MAX_DENSE_DIM,
+    SWEEP_MAX_M,
+    UsageError,
+    main,
+    parse_args,
+)
 
 
 def test_parse_rejects_garbage():
@@ -47,6 +55,38 @@ def test_ratio_sweep_end_is_capped():
         assert parse_args(["transition", "ratio-sweep", f"M=64..{hi}"]).sweep == (64, hi)
     with pytest.raises(UsageError, match=str(SWEEP_MAX_M)):
         parse_args(["transition", "ratio-sweep", f"M=64..{SWEEP_MAX_M + 8}"])
+
+
+def test_dense_size_limits():
+    # parsed only: nothing is built or solved
+    assert SWEEP_MAX_M // 4 <= MAX_DENSE_DIM  # the sweep's last N stays reachable
+    top = MAX_DENSE_DIM
+    for command in ("eigs", "transition", "certify", "decompose"):
+        argv = [command, f"M={4 * top}", f"K={top}"]
+        assert parse_args(argv + [f"N={top}"]).n == top
+        with pytest.raises(UsageError, match=str(top)):
+            parse_args(argv + [f"N={top + 1}"])
+    with pytest.raises(UsageError, match=str(top)):
+        parse_args(["eigs", "M=400000", "N=200000", "K=1"])
+    for command in ("certify", "dft-sub"):
+        # the solver sees the 2L x 2L embedding, L = M/p
+        assert parse_args([command, f"M={top // 2 * 4}", "p=4"]).p == 4
+        with pytest.raises(UsageError, match=str(top)):
+            parse_args([command, f"M={(top // 2 + 1) * 4}", "p=4"])
+    assert parse_args(["certify", "M=64", "p=0"]).p == 0  # left to the library
+
+
+def test_commute_operator_byte_limit():
+    def operator_bytes(n):
+        return 8 * n * n * (2 * n - 1)
+
+    largest = max(n for n in range(2, 1024) if operator_bytes(n) <= COMMUTE_MAX_OPERATOR_BYTES)
+    assert largest == 128
+    assert parse_args(["commute", "M=512", f"N={largest}", "K=63"]).n == largest
+    with pytest.raises(UsageError, match=str(COMMUTE_MAX_OPERATOR_BYTES)):
+        parse_args(["commute", "M=512", f"N={largest + 1}", "K=63"])
+    # other commands take the same N
+    assert parse_args(["eigs", "M=512", f"N={largest + 1}", "K=63"]).n == largest + 1
 
 
 def test_parse_round_trip():

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prolate as pr
 import prolate.eigensolve as es
@@ -268,7 +270,41 @@ def test_singular_values_of_one_by_one_block():
 
 # Element-by-element references for the two rotation kernels, kept to pin
 # the slice-vectorised kernels to bitwise-identical output.  The Jacobi
-# reference carries the same large-theta guard as the kernel.
+# reference carries the same large-theta guard as the kernel.  The
+# unblocked Householder reduction is the reference for the blocked one;
+# blocking reorders the sums, so that comparison has a tolerance.
+
+
+def _householder_tridiag_unblocked(a, want_q):
+    n = a.shape[0]
+    q = np.eye(n) if want_q else None
+    e = np.zeros(n)
+    for k in range(n - 2):
+        x = a[k + 1 :, k]
+        scale = float(np.abs(x).max())
+        if scale == 0.0 or float(np.abs(x[1:]).max(initial=0.0)) == 0.0:
+            e[k] = x[0]
+            continue
+        v = x / scale
+        alpha = math.copysign(math.sqrt(float(v @ v)), v[0])
+        u = v.copy()
+        u[0] += alpha
+        beta = alpha * u[0]  # = u.u / 2
+        e[k] = -alpha * scale
+        a[k + 1, k] = e[k]
+        a[k, k + 1] = e[k]
+        block = a[k + 1 :, k + 1 :]
+        w = block @ u / beta
+        w -= (float(u @ w) / (2.0 * beta)) * u
+        block -= np.outer(u, w)
+        block -= np.outer(w, u)
+        if want_q:
+            qb = q[:, k + 1 :]
+            qb -= np.outer(qb @ u, u) / beta
+    if n >= 2:
+        e[n - 2] = a[n - 1, n - 2]
+    d = np.diag(a).copy()
+    return d, e, q
 
 
 def _ql_implicit_scalar(d, e, z, want_z, budget):
@@ -325,28 +361,40 @@ def _ql_implicit_scalar(d, e, z, want_z, budget):
     return budget
 
 
-def _jacobi_cyclic_scalar(a, v, want_v, max_sweeps):
-    n = a.shape[0]
+def _jacobi_cyclic_scalar(a_array, v_array, want_v, max_sweeps):
+    # runs on nested lists of Python floats, the same IEEE doubles as the
+    # numpy scalars, and writes them back on return
+    a = a_array.tolist()
+    v = v_array.tolist()
+    n = len(a)
+    sweeps = _jacobi_sweeps_scalar(a, v, n, want_v, max_sweeps)
+    a_array[:] = a
+    if want_v:
+        v_array[:] = v
+    return sweeps
+
+
+def _jacobi_sweeps_scalar(a, v, n, want_v, max_sweeps):
     total = 0.0
     for i in range(n):
         for j in range(n):
-            total += a[i, j] * a[i, j]
+            total += a[i][j] * a[i][j]
     thresh = es.JACOBI_OFF_TOL * math.sqrt(total)
     for sweep in range(max_sweeps + 1):
         off = 0.0
         for i in range(n - 1):
             for j in range(i + 1, n):
-                off += 2.0 * a[i, j] * a[i, j]
+                off += 2.0 * a[i][j] * a[i][j]
         if math.sqrt(off) <= thresh:
             return sweep
         if sweep == max_sweeps:
             return -1
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = a[p][q]
                 if apq == 0.0:
                     continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
                 if abs(theta) > es.JACOBI_LARGE_THETA:
                     t = 0.5 / theta
                 elif theta >= 0.0:
@@ -355,24 +403,25 @@ def _jacobi_cyclic_scalar(a, v, want_v, max_sweeps):
                     t = -1.0 / (-theta + math.sqrt(1.0 + theta * theta))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
+                row_p = a[p]
+                row_q = a[q]
                 for i in range(n):
                     if i != p and i != q:
-                        aip = a[i, p]
-                        aiq = a[i, q]
-                        a[i, p] = aip * c - aiq * s
-                        a[p, i] = a[i, p]
-                        a[i, q] = aiq * c + aip * s
-                        a[q, i] = a[i, q]
-                a[p, p] -= t * apq
-                a[q, q] += t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
+                        row_i = a[i]
+                        aip = row_i[p]
+                        aiq = row_i[q]
+                        row_i[p] = row_p[i] = aip * c - aiq * s
+                        row_i[q] = row_q[i] = aiq * c + aip * s
+                row_p[p] -= t * apq
+                row_q[q] += t * apq
+                row_p[q] = 0.0
+                row_q[p] = 0.0
                 if want_v:
-                    for i in range(n):
-                        vip = v[i, p]
-                        viq = v[i, q]
-                        v[i, p] = vip * c - viq * s
-                        v[i, q] = viq * c + vip * s
+                    for row_i in v:
+                        vip = row_i[p]
+                        viq = row_i[q]
+                        row_i[p] = vip * c - viq * s
+                        row_i[q] = viq * c + vip * s
     return -1
 
 
@@ -460,11 +509,144 @@ def test_iteration_counts_recorded_within_budget():
 
 
 def test_jacobi_large_theta_rotation_is_finite():
-    # the (0, 1) rotation has theta = 1/(2e-160), whose square overflows;
-    # the (1, 2) entry keeps the sweep from stopping before it
-    a = np.array([[0.0, 1e-160, 0.0], [1e-160, 1.0, 0.5], [0.0, 0.5, 2.0]])
-    spec = pr.eigh_jacobi(a, want_vectors=True)
-    assert spec.iterations > 0
-    expect = pr.eigh_householder_ql(a).values
-    assert np.abs(spec.values - expect).max() <= 1e-15
-    assert np.abs(spec.vectors.T @ spec.vectors - np.eye(3)).max() <= 1e-15
+    # the (0, 1) rotation has theta = 1/(2 tiny): its square overflows at
+    # 1e-160, and theta itself at the subnormal 1e-310; the (1, 2) entry
+    # keeps the sweep from stopping before it
+    for tiny in (1e-160, 1e-310):
+        a = np.array([[0.0, tiny, 0.0], [tiny, 1.0, 0.5], [0.0, 0.5, 2.0]])
+        spec = pr.eigh_jacobi(a, want_vectors=True)
+        assert spec.iterations > 0
+        expect = pr.eigh_householder_ql(a).values
+        assert np.abs(spec.values - expect).max() <= 1e-15
+        assert np.abs(spec.vectors.T @ spec.vectors - np.eye(3)).max() <= 1e-15
+
+
+# Blocked against unblocked Householder.  Both are backward stable, so
+# Q T Q^T = A + E with ||E|| = O(n u ||A||); the checks below scale every
+# error by n u ||A||_F and allow REDUCTION_RATIO of it, as LAPACK's own
+# tridiagonal tests do with their threshold ratio.  By Weyl's inequality
+# two such reductions give eigenvalues that differ by at most the sum of
+# their backward errors.
+NB = es.HOUSEHOLDER_BLOCK
+UNIT_ROUNDOFF = 2.0**-53
+REDUCTION_RATIO = 4.0
+
+
+def _unit(a):
+    n = a.shape[0]
+    return n * UNIT_ROUNDOFF * max(float(np.linalg.norm(a)), np.finfo(float).tiny)
+
+
+def _tridiagonal(d, e):
+    n = d.size
+    off = e[: n - 1]
+    return np.diag(d) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def _reduction_ratios(a, reduce):
+    d, e, q = reduce(a.copy(), True)
+    t = _tridiagonal(d, e)
+    unit = _unit(a)
+    recon = float(np.abs(q @ t @ q.T - a).max()) / unit
+    orth = float(np.abs(q.T @ q - np.eye(a.shape[0])).max()) / (
+        a.shape[0] * UNIT_ROUNDOFF
+    )
+    return d, e, q, recon, orth
+
+
+def _values(d, e):
+    n = d.size
+    d, e = d.copy(), e.copy()
+    left = es._ql_implicit(d, e, np.empty((0, 0)), False, es.QL_BUDGET_PER_ROW * n)
+    assert left >= 0
+    return np.sort(d)[::-1]
+
+
+def _block_diagonal(rng, sizes):
+    n = sum(sizes)
+    a = np.zeros((n, n))
+    start = 0
+    for size in sizes:
+        a[start : start + size, start : start + size] = _random_symmetric(rng, size)
+        start += size
+    return a
+
+
+def _blocked_inputs():
+    rng = np.random.default_rng(37)
+    for n in (1, 2, 3, NB - 1, NB, NB + 1, 2 * NB + 3):
+        yield f"random-{n}", _random_symmetric(rng, n, scale=rng.uniform(0.1, 10.0))
+    n = 2 * NB + 3
+    yield "diagonal", np.diag(rng.standard_normal(n))
+    yield "tridiagonal", _tridiagonal(rng.standard_normal(n), rng.standard_normal(n))
+    # zero sub-columns in mid-panel: the last two columns of every block
+    sizes = (NB // 2 + 1, NB - 3, 5, 2 * NB + 3 - (NB // 2 + 1) - (NB - 3) - 5)
+    yield "block-diagonal", _block_diagonal(rng, sizes)
+
+
+@pytest.mark.parametrize(
+    "a", [pytest.param(a, id=label) for label, a in _blocked_inputs()]
+)
+def test_blocked_reduction_matches_unblocked_and_jacobi(a):
+    n = a.shape[0]
+    d, e, q, recon, orth = _reduction_ratios(a, es._householder_tridiag)
+    d0, e0, q0, recon0, orth0 = _reduction_ratios(a, _householder_tridiag_unblocked)
+    assert recon <= REDUCTION_RATIO and orth <= REDUCTION_RATIO, (recon, orth)
+    assert recon0 <= REDUCTION_RATIO and orth0 <= REDUCTION_RATIO, (recon0, orth0)
+    # d and e do not depend on whether Q is wanted
+    d_only, e_only, q_none = es._householder_tridiag(a.copy(), False)
+    assert q_none is None
+    assert np.array_equal(d_only, d) and np.array_equal(e_only, e)
+    unit = _unit(a)
+    values = _values(d, e)
+    assert np.abs(values - _values(d0, e0)).max() <= 2 * REDUCTION_RATIO * unit
+    jacobi = pr.eigh_jacobi(a).values
+    assert np.abs(values - jacobi).max() <= 2 * REDUCTION_RATIO * unit
+
+
+@pytest.mark.parametrize("label", ["diagonal", "tridiagonal"])
+def test_reduction_skips_already_tridiagonal_columns(label):
+    # every sub-column is zero below its first entry: no reflector is formed,
+    # so both reductions return the input's diagonals and Q = I exactly
+    a = dict(_blocked_inputs())[label]
+    n = a.shape[0]
+    for reduce in (es._householder_tridiag, _householder_tridiag_unblocked):
+        d, e, q = reduce(a.copy(), True)
+        assert np.array_equal(d, np.diag(a))
+        assert np.array_equal(e[: n - 1], np.diag(a, -1))
+        assert np.array_equal(q, np.eye(n))
+
+
+def test_block_diagonal_reduction_keeps_blocks_apart():
+    # reflectors of one block are exactly zero on every other block, so the
+    # subdiagonal entry at each block boundary comes out exactly zero
+    a = dict(_blocked_inputs())["block-diagonal"]
+    boundaries = np.flatnonzero(np.diag(a, -1) == 0.0)
+    assert boundaries.size == 3
+    for reduce in (es._householder_tridiag, _householder_tridiag_unblocked):
+        _, e, _ = reduce(a.copy(), False)
+        assert np.array_equal(e[boundaries], np.zeros(boundaries.size))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 3 * NB + 3),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-6, 1.0, 1e6]),
+    zero_fraction=st.sampled_from([0.0, 0.5, 0.95]),
+)
+def test_solver_properties_on_random_symmetric(n, seed, scale, zero_fraction):
+    rng = np.random.default_rng(seed)
+    a = _random_symmetric(rng, n, scale)
+    zero = rng.random((n, n)) < zero_fraction
+    a[zero | zero.T] = 0.0
+    unit = _unit(a)
+    spec = pr.eigh_householder_ql(a, want_vectors=True)
+    # the values sum to the trace of A + E, |trace E| <= n ||E||_2
+    assert abs(math.fsum(spec.values) - math.fsum(np.diag(a))) <= (
+        n * REDUCTION_RATIO * unit
+    )
+    q = spec.vectors
+    assert np.abs(q.T @ q - np.eye(n)).max() <= REDUCTION_RATIO * n * UNIT_ROUNDOFF
+    jacobi = pr.eigh_jacobi(a).values
+    assert np.abs(spec.values - jacobi).max() <= 2 * REDUCTION_RATIO * unit
