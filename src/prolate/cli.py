@@ -51,9 +51,11 @@ SWEEP_MAX_M = 8192
 # dft-sub.  At the limit `eigs M=16384 N=4096 K=2048` takes 21 s and 542 MB
 # peak, `dft-sub M=4096 p=2` 22 s and 612 MB (two cores, no numba).
 MAX_DENSE_DIM = 4096
-# commute builds an N^2 x (2N-1) float64 commutation operator.  32 MiB
-# admits N <= 128: `commute M=512 N=128 K=63` takes 1.2 s and 132 MB peak.
-COMMUTE_MAX_OPERATOR_BYTES = 32 * 2**20
+# Largest N for commute, which solves B and its tridiagonal with vectors.
+# At the limit `commute M=3008 N=752 K=375` takes 15 s and 87 MB peak, but
+# the QL vector update runs about twice as slow at some N: N=768 takes 31 s
+# (two cores, no numba).
+COMMUTE_MAX_N = 752
 
 USAGE = """\
 usage: prolate COMMAND key=value ...
@@ -241,12 +243,8 @@ def _check_size(config: RunConfig) -> None:
     if config.n is not None:
         if config.n > MAX_DENSE_DIM:
             raise UsageError(f"N must be <= {MAX_DENSE_DIM}, got {config.n}")
-        operator_bytes = 8 * config.n**2 * (2 * config.n - 1)
-        if config.command == "commute" and operator_bytes > COMMUTE_MAX_OPERATOR_BYTES:
-            raise UsageError(
-                f"commute needs an N^2 x (2N-1) operator of {operator_bytes} bytes"
-                f" for N={config.n}; the limit is {COMMUTE_MAX_OPERATOR_BYTES}"
-            )
+        if config.command == "commute" and config.n > COMMUTE_MAX_N:
+            raise UsageError(f"commute needs N <= {COMMUTE_MAX_N}, got {config.n}")
     if config.p is not None and config.p > 0:
         dim = 2 * (config.m // config.p)
         if dim > MAX_DENSE_DIM:
@@ -442,9 +440,9 @@ def _run_decompose(config: RunConfig):
 
 def _run_commute(config: RunConfig):
     params = _params_from(config)
-    fit = fit_commuting_tridiagonal(periodic_prolate(params).dense())
+    fit = fit_commuting_tridiagonal(periodic_prolate(params).dense(), params)
     comments = [
-        "commuting symmetric tridiagonal recovered by least squares",
+        "commuting symmetric tridiagonal from its closed form",
         f"M={params.M} N={params.N} K={params.K}",
     ]
     header = "N,commutator_norm,degenerate,compared,max_value_dev,min_alignment,pass"

@@ -188,12 +188,16 @@ def test_criterion_8_solver_oracle_agreement():
 
 
 def test_criterion_9_commuting_fit():
-    cases = [(64, 16, 7), (96, 24, 11), (128, 32, 15), (192, 48, 23), (256, 128, 63)]
+    cases = [
+        (64, 16, 7), (96, 24, 11), (128, 32, 15), (192, 48, 23), (256, 128, 63),
+        (1024, 256, 128),
+    ]
     details = []
     ok = True
     for m, n, k in cases:
-        dense = pr.periodic_prolate(pr.ProlateParams(M=m, N=n, K=k)).dense()
-        fit = pr.fit_commuting_tridiagonal(dense)
+        params = pr.ProlateParams(M=m, N=n, K=k)
+        dense = pr.periodic_prolate(params).dense()
+        fit = pr.fit_commuting_tridiagonal(dense, params)
         via_tri = pr.eigenvectors_via_tridiagonal(fit, dense)
         lam = pr.eigh_householder_ql(dense).values
         gaps = np.full(n, np.inf)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import prolate
 from prolate.cli import (
     _KEYS,
-    COMMUTE_MAX_OPERATOR_BYTES,
+    COMMUTE_MAX_N,
     MAX_DENSE_DIM,
     SWEEP_MAX_M,
     UsageError,
@@ -76,17 +76,15 @@ def test_dense_size_limits():
     assert parse_args(["certify", "M=64", "p=0"]).p == 0  # left to the library
 
 
-def test_commute_operator_byte_limit():
-    def operator_bytes(n):
-        return 8 * n * n * (2 * n - 1)
-
-    largest = max(n for n in range(2, 1024) if operator_bytes(n) <= COMMUTE_MAX_OPERATOR_BYTES)
-    assert largest == 128
-    assert parse_args(["commute", "M=512", f"N={largest}", "K=63"]).n == largest
-    with pytest.raises(UsageError, match=str(COMMUTE_MAX_OPERATOR_BYTES)):
-        parse_args(["commute", "M=512", f"N={largest + 1}", "K=63"])
+def test_commute_size_limit():
+    # parsed only: nothing is built or solved
+    top = COMMUTE_MAX_N
+    assert top < MAX_DENSE_DIM
+    assert parse_args(["commute", f"M={4 * top}", f"N={top}", "K=63"]).n == top
+    with pytest.raises(UsageError, match=str(top)):
+        parse_args(["commute", f"M={4 * top}", f"N={top + 1}", "K=63"])
     # other commands take the same N
-    assert parse_args(["eigs", "M=512", f"N={largest + 1}", "K=63"]).n == largest + 1
+    assert parse_args(["eigs", f"M={4 * top}", f"N={top + 1}", "K=63"]).n == top + 1
 
 
 def test_parse_round_trip():
@@ -130,7 +128,7 @@ def test_parse_args_rejects_or_round_trips(command, pairs):
 
 
 def test_commute_eigendecomposes_each_matrix_once(monkeypatch, capsys):
-    # the (2N-2) Gram of the fit, B and the tridiagonal T: three solves
+    # B and its tridiagonal T: two solves
     original = prolate.eigh_householder_ql
     sizes = []
 
@@ -144,7 +142,7 @@ def test_commute_eigendecomposes_each_matrix_once(monkeypatch, capsys):
             monkeypatch.setattr(module, "eigh_householder_ql", counting)
     assert main(["commute", "M=64", "N=16", "K=7"]) == 0
     capsys.readouterr()
-    assert sorted(sizes) == [16, 16, 30]
+    assert sorted(sizes) == [16, 16]
 
 
 def test_invalid_model_parameters_exit_2(capsys):
