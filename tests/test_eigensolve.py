@@ -1,6 +1,6 @@
 """Eigensolver tests: trivial spectra, cross-solver oracle agreement,
-structural invariants of the prolate spectra, and the Gram-based
-singular-value path.
+structural invariants of the prolate spectra, the Gram-based
+singular-value path, and the parity split of centrosymmetric matrices.
 """
 import math
 
@@ -86,8 +86,15 @@ def test_sign_convention_first_component_positive():
 def test_exhausted_iteration_budget_raises(monkeypatch):
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
     monkeypatch.setattr(es, "QL_BUDGET_PER_ROW", 0)
+    # flip is centrosymmetric: its 1x1 parity blocks need no QL step, so
+    # the QL budget is exercised on a 2x2 that is not, and on a 4x4 whose
+    # 2x2 parity blocks [[0, 1], [1, 0]] each need a step
     with pytest.raises(pr.EigensolveError):
-        es.eigh_householder_ql(flip)
+        es.eigh_householder_ql(np.array([[0.0, 1.0], [1.0, 0.5]]))
+    pair = np.kron(np.eye(2), flip)
+    assert es._parity_blocks(pair) is not None
+    with pytest.raises(pr.EigensolveError):
+        es.eigh_householder_ql(pair)
     monkeypatch.setattr(es, "JACOBI_MAX_SWEEPS", 0)
     with pytest.raises(pr.EigensolveError):
         es.eigh_jacobi(flip)
@@ -115,6 +122,27 @@ def test_nearly_symmetric_is_averaged():
     sym = np.array([[1.0, 0.5 + 2.5e-13], [0.5 + 2.5e-13, 2.0]])
     expect = pr.eigh_jacobi(sym)
     assert np.abs(spec.values - expect.values).max() <= 1e-12
+
+
+def test_banded_symmetrization_matches_average_bitwise():
+    # the average is formed a band of rows at a time; sizes straddle the band
+    rng = np.random.default_rng(19)
+    rows = es.HOUSEHOLDER_CHUNK_ROWS
+    for n in (1, 5, rows, rows + 1, 2 * rows + 44):
+        a = _random_symmetric(rng, n)
+        a += 1e-14 * rng.standard_normal((n, n))
+        before = a.copy()
+        sym = es._as_dense_symmetric(a)
+        assert np.array_equal(sym, 0.5 * (a + a.T))
+        assert np.array_equal(a, before)
+    # an asymmetric pair in the last band is found and reported exactly
+    a = _random_symmetric(rng, 2 * rows + 44)
+    a[-1, -3] += 1e-3
+    with pytest.raises(pr.ParameterError, match="1.000e-03"):
+        es._as_dense_symmetric(a)
+    a[-1, -3] = np.inf
+    with pytest.raises(pr.EigensolveError):
+        es._as_dense_symmetric(a)
 
 
 def test_symbol_matrix_input_accepted():
@@ -425,14 +453,25 @@ def _jacobi_sweeps_scalar(a, v, n, want_v, max_sweeps):
     return -1
 
 
-def _reference_ql(a):
+def _reference_ql(a, want_vectors=True):
+    # the same parity split as the kernel, with the scalar QL on each block
     sym = es._as_dense_symmetric(a)
-    n = sym.shape[0]
-    d, e, q = es._householder_tridiag(sym.copy(), True)
-    budget = es.QL_BUDGET_PER_ROW * n
-    left = _ql_implicit_scalar(d, e, q, True, budget)
-    assert left >= 0
-    return es._finish(sym, d, q, "householder_ql", budget - left)
+    blocks = es._parity_blocks(sym)
+    values, rows, steps = [], [], 0
+    for block in [sym.copy()] if blocks is None else blocks:
+        n = block.shape[0]
+        d, e, q = es._householder_tridiag(block, want_vectors)
+        z = q if want_vectors else np.empty((0, 0))
+        budget = es.QL_BUDGET_PER_ROW * n
+        left = _ql_implicit_scalar(d, e, z, want_vectors, budget)
+        assert left >= 0
+        values.append(d)
+        rows.append(z.T)
+        steps += budget - left
+    vectors = None
+    if want_vectors:
+        vectors = rows[0].T if blocks is None else es._parity_vectors(*rows).T
+    return es._finish(sym, np.concatenate(values), vectors, "householder_ql", steps)
 
 
 def _reference_jacobi(a):
@@ -468,16 +507,6 @@ def test_vectorised_kernels_match_scalar_reference_bitwise(solver, reference):
         assert got.iterations == want.iterations, label
 
 
-def _reference_ql_values(a):
-    sym = es._as_dense_symmetric(a)
-    n = sym.shape[0]
-    d, e, _ = es._householder_tridiag(sym.copy(), False)
-    budget = es.QL_BUDGET_PER_ROW * n
-    left = _ql_implicit_scalar(d, e, np.empty((0, 0)), False, budget)
-    assert left >= 0
-    return es._finish(sym, d, None, "householder_ql", budget - left)
-
-
 def _values_only_inputs():
     yield from _reference_inputs()
     yield "prolate-1024-256-128", pr.periodic_prolate(
@@ -491,7 +520,7 @@ def _values_only_inputs():
 def test_values_only_ql_matches_scalar_reference_bitwise():
     for label, a in _values_only_inputs():
         got = pr.eigh_householder_ql(a)
-        want = _reference_ql_values(a)
+        want = _reference_ql(a, want_vectors=False)
         assert np.array_equal(got.values, want.values), label
         assert got.iterations == want.iterations, label
         with_vectors = pr.eigh_householder_ql(a, want_vectors=True)
@@ -650,3 +679,130 @@ def test_solver_properties_on_random_symmetric(n, seed, scale, zero_fraction):
     assert np.abs(q.T @ q - np.eye(n)).max() <= REDUCTION_RATIO * n * UNIT_ROUNDOFF
     jacobi = pr.eigh_jacobi(a).values
     assert np.abs(spec.values - jacobi).max() <= 2 * REDUCTION_RATIO * unit
+
+
+# Parity split.  A centrosymmetric matrix is solved as two half-size blocks;
+# each block is reduced and iterated by the same core as a whole matrix, so
+# the split agrees with the unsplit core, and with Jacobi, within the
+# backward-error scale above.  Every eigenvector is even or odd.
+
+
+def _random_centrosymmetric(rng, n, scale=1.0):
+    a = _random_symmetric(rng, n, scale)
+    return 0.5 * (a + a[::-1, ::-1])
+
+
+def _centrosymmetric_inputs():
+    rng = np.random.default_rng(41)
+    for n in (2, 3, 64, 65):
+        yield f"random-{n}", _random_centrosymmetric(rng, n, rng.uniform(0.1, 10.0))
+    yield "prolate-256-64-31", pr.periodic_prolate(pr.ProlateParams(256, 64, 31)).dense()
+    yield "prolate-128-33-15", pr.periodic_prolate(pr.ProlateParams(128, 33, 15)).dense()
+    yield "sinc-65", pr.sinc_prolate(65, 0.2).dense()
+    params = pr.ProlateParams(M=256, N=65, K=31)
+    fit = pr.fit_commuting_tridiagonal(pr.periodic_prolate(params).dense(), params)
+    yield "commuting-tridiagonal-65", fit.dense()
+
+
+def _assert_parity(vectors):
+    # J v = +v or -v exactly: each vector is assembled from one block
+    n = vectors.shape[0]
+    mirrored = vectors[::-1]
+    even = np.all(mirrored == vectors, axis=0)
+    odd = np.all(mirrored == -vectors, axis=0)
+    assert np.all(even | odd)
+    # a zero vector would be both; the even block has n - n//2 rows
+    assert not np.any(even & odd)
+    assert int(even.sum()) == n - n // 2 and int(odd.sum()) == n // 2
+    return even
+
+
+@pytest.mark.parametrize(
+    "a", [pytest.param(a, id=label) for label, a in _centrosymmetric_inputs()]
+)
+def test_parity_split_matches_unsplit_core_and_jacobi(a):
+    n = a.shape[0]
+    assert es._parity_blocks(es._as_dense_symmetric(a)) is not None
+    unit = _unit(a)
+    split = pr.eigh_householder_ql(a, want_vectors=True)
+    whole, _, _ = es._tridiagonal_ql(es._as_dense_symmetric(a), False)
+    assert np.abs(split.values - np.sort(whole)[::-1]).max() <= 2 * REDUCTION_RATIO * unit
+    jacobi = pr.eigh_jacobi(a).values
+    assert np.abs(split.values - jacobi).max() <= 2 * REDUCTION_RATIO * unit
+    q = split.vectors
+    assert np.abs(q.T @ q - np.eye(n)).max() <= REDUCTION_RATIO * n * UNIT_ROUNDOFF
+    assert split.residual <= REDUCTION_RATIO * unit
+    _assert_parity(q)
+    values_only = pr.eigh_householder_ql(a)
+    assert np.array_equal(values_only.values, split.values)
+    assert values_only.iterations == split.iterations
+
+
+def test_parity_matches_lapack_eigenvectors():
+    # on well-separated values each LAPACK eigenvector is determined up to
+    # sign, so its own parity v . Jv = +-1 must match the split's
+    rng = np.random.default_rng(43)
+    for n in (64, 65):
+        a = _random_centrosymmetric(rng, n)
+        even = _assert_parity(pr.eigh_householder_ql(a, want_vectors=True).vectors)
+        values, vectors = np.linalg.eigh(a)
+        assert np.diff(values).min() > 1e-6
+        lapack = np.einsum("ij,ij->j", vectors, vectors[::-1])[::-1]
+        assert np.abs(np.abs(lapack) - 1.0).max() <= 1e-10
+        assert np.array_equal(lapack > 0.0, even)
+
+
+def test_non_centrosymmetric_input_is_not_split():
+    rng = np.random.default_rng(47)
+    a = _random_centrosymmetric(rng, 12)
+    assert es._parity_blocks(a) is not None
+    a[0, 1] = a[1, 0] = np.nextafter(a[0, 1], np.inf)  # one ulp breaks it
+    assert es._parity_blocks(a) is None
+    assert es._parity_blocks(np.ones((1, 1))) is None
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 3 * NB + 3),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-6, 1.0, 1e6]),
+    zero_fraction=st.sampled_from([0.0, 0.5, 0.95]),
+)
+def test_split_properties_on_random_centrosymmetric(n, seed, scale, zero_fraction):
+    rng = np.random.default_rng(seed)
+    a = _random_centrosymmetric(rng, n, scale)
+    zero = rng.random((n, n)) < zero_fraction
+    a[zero | zero.T | zero[::-1, ::-1] | zero.T[::-1, ::-1]] = 0.0
+    unit = _unit(a)
+    spec = pr.eigh_householder_ql(a, want_vectors=True)
+    assert abs(math.fsum(spec.values) - math.fsum(np.diag(a))) <= (
+        n * REDUCTION_RATIO * unit
+    )
+    q = spec.vectors
+    assert np.abs(q.T @ q - np.eye(n)).max() <= REDUCTION_RATIO * n * UNIT_ROUNDOFF
+    assert spec.residual <= REDUCTION_RATIO * unit
+    _assert_parity(q)
+    jacobi = pr.eigh_jacobi(a).values
+    assert np.abs(spec.values - jacobi).max() <= 2 * REDUCTION_RATIO * unit
+
+
+def _lapack_width_blocks():
+    yield pr.ProlateParams(M=1024, N=256, K=128)
+    yield pr.ProlateParams(M=3072, N=768, K=384)
+    m = 64
+    while m <= 2048:  # the ratio sweep: N = M/4, K = M/8
+        yield pr.ProlateParams(M=m, N=m // 4, K=m // 8)
+        m *= 2
+
+
+def test_split_widths_match_lapack():
+    # LAPACK is an oracle for the tests only
+    for params in _lapack_width_blocks():
+        b = pr.periodic_prolate(params).dense()
+        values = pr.eigh_householder_ql(b).values
+        lapack = np.linalg.eigvalsh(b)[::-1]
+        assert np.abs(values - lapack).max() <= 2 * REDUCTION_RATIO * _unit(b), params
+        for eps in (1e-3, 1e-6, 1e-9, 1e-12):
+            assert pr.transition_width(values, eps) == pr.transition_width(
+                lapack, eps
+            ), (params, eps)
