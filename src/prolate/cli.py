@@ -312,7 +312,7 @@ def _sidecar(config: RunConfig, comments: list[str]) -> tuple[Path, str] | None:
 
 def _run_eigs(config: RunConfig):
     params = _params_from(config)
-    spectrum = eigh_householder_ql(periodic_prolate(params).dense())
+    spectrum = eigh_householder_ql(periodic_prolate(params))
     comments = [
         "eigenvalues of the N x N periodic prolate block, descending",
         f"M={params.M} N={params.N} K={params.K}",
@@ -339,14 +339,6 @@ def _mnk_cells(params: ProlateParams) -> list[str]:
     return [str(params.M), str(params.N), str(params.K)]
 
 
-def _clustering_reports(params: ProlateParams, epsilons):
-    """Certificates at each eps, all from one spectrum of the prolate block."""
-    if params.N >= params.M:
-        raise UsageError(f"need N < M, got N={params.N}, M={params.M}")
-    spectrum = eigh_householder_ql(periodic_prolate(params).dense())
-    return [certify_spectrum_clustering(params, eps, spectrum) for eps in epsilons]
-
-
 def _run_transition(config: RunConfig):
     if config.sweep is None:
         grid = [_params_from(config)]
@@ -365,7 +357,7 @@ def _run_transition(config: RunConfig):
     reports = [
         report
         for params in grid
-        for report in _clustering_reports(params, config.epsilons)
+        for report in certify_spectrum_clustering(params, config.epsilons)
     ]
     rows = [
         _mnk_cells(r.params)
@@ -392,7 +384,7 @@ def _report_cells(report) -> list[str]:
 def _run_certify(config: RunConfig):
     if config.p is None:
         params = _params_from(config)
-        reports = _clustering_reports(params, config.epsilons)
+        reports = certify_spectrum_clustering(params, config.epsilons)
         lead = _mnk_cells(params)
         comments = [
             "eigenvalue clustering certificates",
@@ -401,11 +393,9 @@ def _run_certify(config: RunConfig):
         header = "M,N,K,epsilon,width,bound_2R,lower_index_ok,upper_index_ok,width_ok,pass"
     else:
         where = (config.m, config.p, config.row_offset, config.col_offset)
-        sigma = singular_values_via_gram(dft_submatrix(*where))
-        reports = [
-            certify_dft_submatrix(*where, eps, singular_values=sigma)
-            for eps in config.epsilons
-        ]
+        reports = certify_dft_submatrix(
+            config.m, config.p, config.epsilons, config.row_offset, config.col_offset
+        )
         lead = [str(value) for value in where]
         comments = ["singular-value clustering certificates for a DFT submatrix"]
         header = (

@@ -94,11 +94,15 @@ class Spectrum:
 def _as_dense_symmetric(a) -> np.ndarray:
     """Validate and symmetrize the input; rejects asymmetry beyond tolerance.
 
-    Returns a private array.  Asymmetry and the average 0.5 (A + A^T) are
-    formed a band of HOUSEHOLDER_CHUNK_ROWS rows at a time in place, so
-    besides the copy no temporary as large as the matrix is made.
+    Returns a private array.  A SymbolMatrix is symmetric by construction,
+    so its dense realization is the only copy made.  For other input,
+    asymmetry and the average 0.5 (A + A^T) are formed a band of
+    HOUSEHOLDER_CHUNK_ROWS rows at a time in place, so besides the copy no
+    temporary as large as the matrix is made.
     """
     if isinstance(a, SymbolMatrix):
+        if not np.isfinite(a.symbol).all():
+            raise EigensolveError("matrix contains non-finite entries")
         return a.dense()
     arr = np.array(a, dtype=np.float64, copy=True)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:

@@ -62,11 +62,9 @@ def test_criterion_2_certification_grid():
     failures = []
     for m, n, k in CERTIFICATION_GRID:
         params = pr.ProlateParams(M=m, N=n, K=k)
-        spectrum = pr.eigh_householder_ql(pr.periodic_prolate(params).dense())
-        for eps in EPS_GRID:
-            report = pr.certify_spectrum_clustering(params, eps, spectrum)
+        for report in pr.certify_spectrum_clustering(params, EPS_GRID):
             if not report.passed:
-                failures.append((m, n, k, eps))
+                failures.append((m, n, k, report.epsilon))
     elapsed = time.perf_counter() - start
     _verdict(
         "criterion 2",
@@ -107,14 +105,12 @@ def test_criterion_4_dft_submatrix_certificates():
         base = pr.singular_values_via_gram(pr.dft_submatrix(m, p, 0, 0))
         offsets = [(int(rng.integers(0, m)), int(rng.integers(0, m))) for _ in range(5)]
         for ro, co in offsets:
-            sigma = pr.singular_values_via_gram(pr.dft_submatrix(m, p, ro, co))
+            reports = pr.certify_dft_submatrix(m, p, (1e-3, 1e-6), ro, co)
+            sigma = reports[0].singular_values
             worst_dev = max(worst_dev, float(np.abs(sigma - base).max()))
-            for eps in (1e-3, 1e-6):
-                report = pr.certify_dft_submatrix(
-                    m, p, ro, co, eps, singular_values=sigma
-                )
+            for report in reports:
                 if not report.passed:
-                    failures.append((p, ro, co, eps))
+                    failures.append((p, ro, co, report.epsilon))
     _verdict(
         "criterion 4",
         not failures and worst_dev <= 1e-10,

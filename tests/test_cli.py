@@ -128,21 +128,29 @@ def test_parse_args_rejects_or_round_trips(command, pairs):
 
 
 def test_commute_eigendecomposes_each_matrix_once(monkeypatch, capsys):
-    # B and its tridiagonal T: two solves
     original = prolate.eigh_householder_ql
     sizes = []
 
     def counting(a, want_vectors=False):
-        sizes.append(len(a))
+        sizes.append(a.n if isinstance(a, prolate.SymbolMatrix) else len(a))
         return original(a, want_vectors=want_vectors)
 
     for name, module in list(sys.modules.items()):
         bound = getattr(module, "eigh_householder_ql", None)
         if name.startswith("prolate") and bound is original:
             monkeypatch.setattr(module, "eigh_householder_ql", counting)
+    # B and its tridiagonal T: two solves
     assert main(["commute", "M=64", "N=16", "K=7"]) == 0
-    capsys.readouterr()
     assert sorted(sizes) == [16, 16]
+    # one solve serves all four default eps
+    sizes.clear()
+    assert main(["certify", "M=128", "N=32", "K=15"]) == 0
+    assert sizes == [32]
+    # one solve per M of the sweep, N = M/4
+    sizes.clear()
+    assert main(["transition", "ratio-sweep", "M=64..256"]) == 0
+    assert sizes == [16, 32, 64]
+    capsys.readouterr()
 
 
 def test_invalid_model_parameters_exit_2(capsys):

@@ -145,11 +145,27 @@ def test_banded_symmetrization_matches_average_bitwise():
         es._as_dense_symmetric(a)
 
 
+@pytest.mark.parametrize("solver", [pr.eigh_householder_ql, pr.eigh_jacobi])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_symbol_matrix_non_finite_rejected(solver, bad):
+    # the same error as for a dense matrix, not a spectrum of infs or a
+    # misleading non-convergence
+    with pytest.raises(pr.EigensolveError, match="non-finite"):
+        solver(pr.SymbolMatrix([bad, 1.0, 0.5, 0.1]))
+    with pytest.raises(pr.EigensolveError, match="non-finite"):
+        solver(pr.SymbolMatrix([1.0, 0.5, bad, 0.1]))
+
+
 def test_symbol_matrix_input_accepted():
-    p = pr.ProlateParams(M=32, N=12, K=5)
-    from_symbol = pr.eigh_householder_ql(pr.periodic_prolate(p))
-    from_dense = pr.eigh_householder_ql(pr.periodic_prolate(p).dense())
-    assert np.array_equal(from_symbol.values, from_dense.values)
+    # a SymbolMatrix is solved bit for bit like its dense realization; the
+    # odd size has a middle row and half-blocks wider than one panel
+    for m, n, k in ((32, 12, 5), (256, 75, 31)):
+        block = pr.periodic_prolate(pr.ProlateParams(M=m, N=n, K=k))
+        from_symbol = pr.eigh_householder_ql(block, want_vectors=True)
+        from_dense = pr.eigh_householder_ql(block.dense(), want_vectors=True)
+        assert np.array_equal(from_symbol.values, from_dense.values)
+        assert np.array_equal(from_symbol.vectors, from_dense.vectors)
+        assert from_symbol.residual == from_dense.residual
 
 
 PARAM_GRID = [
