@@ -24,14 +24,26 @@ cuts the O(n^3) reduction about fourfold and the QL work about twofold, and
 assembles exactly even and odd eigenvectors; other matrices are reduced
 whole.
 
-The two rotation kernels keep their scalar recurrences in Python but apply
-each plane rotation as in-place numpy updates of whole rows (QL, which keeps
-its vectors transposed so that the two rows are contiguous) or columns
-(Jacobi), with the same per-element arithmetic as an element-by-element
-loop, so results are bitwise identical to it.  The QL recurrence itself
-runs on Python floats copied out of the tridiagonal, because indexing numpy
-scalars dominated it; both are IEEE doubles, so this too leaves every bit of
-the output unchanged.
+The QL kernel keeps its scalar recurrence in Python but applies each plane
+rotation as in-place numpy updates of two contiguous rows (it keeps its
+vectors transposed), with the same per-element arithmetic as an
+element-by-element loop, so results are bitwise identical to it.  The
+recurrence itself runs on Python floats copied out of the tridiagonal,
+because indexing numpy scalars dominated it; both are IEEE doubles, so this
+too leaves every bit of the output unchanged.
+
+The Jacobi oracle uses the parallel (round-robin) ordering of Brent & Luk
+(1985), which converges whenever the row-cyclic one does (Luk & Park,
+1989): a sweep is n - 1 rounds (n padded to even) of n/2 disjoint
+rotations, and a round is applied at once, as elementwise updates of the
+two column halves and the two row halves of a matrix kept permuted so that
+its pairs are (k, h + k).  On the clustered prolate spectra it keeps the
+row-cyclic sweep counts only with Rutishauser's skip of rotations too small
+to move a diagonal entry (_rotation_tangents).  It uses no matrix product
+and no Householder or QL code, so it stays an independent route.  With
+vectors, on a random symmetric matrix, one call takes 0.05-0.07 s at
+n = 64, 0.25-0.32 s at n = 128 and 2.1-2.2 s at n = 256 (fresh process,
+numpy 2.4, 2 cores).
 """
 from __future__ import annotations
 
@@ -311,85 +323,164 @@ def _ql_implicit(d, e, z, want_z, budget):
     return budget
 
 
-def _jacobi_cyclic(a, v, want_v, max_sweeps):
-    """Cyclic Jacobi sweeps; returns sweeps used, or -1 on non-convergence.
+def _round_robin(m):
+    """Layout and between-round permutation of the parallel Jacobi ordering.
 
-    Converged when the off-diagonal Frobenius mass drops below
-    JACOBI_OFF_TOL times the Frobenius norm of the input.
+    m is even.  Round-robin (Brent & Luk, 1985): with the indices in a
+    circle list L, a round pairs L[k] with L[m-1-k] for k < m/2, and the
+    next round's list keeps L[0] and turns L[1:] one place right.  Storing
+    L[:h] then L[h:] reversed (h = m/2) puts every pair at layout positions
+    (k, h + k), so the round's P and Q sets are the two contiguous halves.
+    Returns the starting layout (layout[pos] is the index stored at pos)
+    and the positions ``step`` with next = current[step]; m - 1 steps make
+    a full turn, so every sweep starts from the same layout.
+    """
+    h = m // 2
+
+    def layout(circle):
+        return np.concatenate((circle[:h], circle[h:][::-1]))
+
+    start = layout(np.arange(m))
+    turned = layout(np.concatenate(([0, m - 1], np.arange(1, m - 1))))
+    return start, np.argsort(start)[turned]
+
+
+def _rotation_tangents(app, aqq, apq):
+    """Tangents t of the rotations that annihilate each apq.
+
+    Elementwise, the scalar rule: theta = (aqq - app) / (2 apq) and
+    t = 1 / (|theta| + sqrt(1 + theta^2)), or 0.5 / |theta| beyond
+    JACOBI_LARGE_THETA (theta^2 would overflow), negated when theta < 0.  A
+    subnormal apq takes theta to inf, and t to 0, without a warning.
+
+    A pair is skipped (t = 0) when 100 |apq| is lost in both |app| and
+    |aqq| (Rutishauser's rule, as in the Handbook's ``jacobi``), which
+    includes apq = 0.  Its rotation could not change either diagonal
+    entry, only turn the two rows and columns by up to 45 degrees; on
+    clustered spectra such as the prolate blocks those turns keep mixing
+    the clusters' couplings, and the round-robin ordering then converges
+    only linearly (a 64 x 64 sinc block used up all 60 sweeps).
+    """
+    g = 100.0 * np.abs(apq)
+    mag_p, mag_q = np.abs(app), np.abs(aqq)
+    live = (mag_p + g != mag_p) | (mag_q + g != mag_q)
+    with np.errstate(over="ignore"):
+        theta = (aqq - app) / (2.0 * np.where(live, apq, 1.0))
+    mag = np.abs(theta)
+    tame = np.minimum(mag, JACOBI_LARGE_THETA)
+    t = 1.0 / (tame + np.sqrt(1.0 + tame * tame))
+    np.divide(0.5, mag, out=t, where=mag > JACOBI_LARGE_THETA)
+    np.negative(t, out=t, where=theta < 0.0)
+    return np.where(live, t, 0.0)
+
+
+def _rotate_halves(pair, axis, c, signed_s, tmp):
+    """Rotate the two halves of ``pair`` along ``axis`` in place, elementwise.
+
+    With x and y the halves: x <- x c - y s and y <- y c + x s, where c
+    and signed_s = (-s, s) broadcast against ``pair``.
+    """
+    np.multiply(np.flip(pair, axis), signed_s, out=tmp)
+    pair *= c
+    pair += tmp
+
+
+def _jacobi_cyclic(a, want_v, max_sweeps):
+    """Parallel-ordered cyclic Jacobi on ``a`` (not modified).
+
+    Returns (sweeps, values, vectors), with values unsorted, vectors None
+    unless want_v, and sweeps -1 on non-convergence.  Converged when the
+    off-diagonal Frobenius mass drops below JACOBI_OFF_TOL times the
+    Frobenius norm of the input.
+
+    Each sweep is m - 1 rounds of m/2 disjoint rotations (_round_robin;
+    odd n is padded with a zero row and column, whose rotations are the
+    identity).  The matrix is kept permuted to the round's layout, so a
+    round's pairs are (k, h + k).  All of a round's tangents come from its
+    starting a_pp, a_qq and a_pq, which no other rotation of the round
+    touches; the rotations are then applied to the two column halves and
+    the two row halves at once and the 2 x 2 entries of each pair are set
+    exactly.  One gather then moves the matrix to the next round's layout,
+    reading every entry from the upper triangle of the old layout, so the
+    matrix stays exactly symmetric.  The vectors are kept transposed, so
+    they take the column rotations as row rotations.  Everything is
+    elementwise, with no matrix product.
     """
     n = a.shape[0]
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            total += a[i, j] * a[i, j]
-    thresh = JACOBI_OFF_TOL * math.sqrt(total)
+    m = n + n % 2
+    h = m // 2
+    layout, step = _round_robin(m)
+    work = np.zeros((m, m))
+    work[:n, :n] = a
+    work = work[np.ix_(layout, layout)]
+    buf = np.empty_like(work)
+    # next[i, j] = current[step[i], step[j]], read from the upper triangle
+    gather = np.minimum.outer(step, step) * m + np.maximum.outer(step, step)
+    tmp = np.empty((m, m))
+    vt = vbuf = None
+    if want_v:  # transposed: row pos holds the vector of layout position pos
+        vt = (layout[:, None] == np.arange(n)).astype(np.float64)
+        vbuf = np.empty_like(vt)
+    thresh = JACOBI_OFF_TOL * math.sqrt(float(np.square(work).sum()))
     for sweep in range(max_sweeps + 1):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                off += 2.0 * a[i, j] * a[i, j]
-        if math.sqrt(off) <= thresh:
-            return sweep
+        sq = np.square(work)
+        sq.reshape(-1)[:: m + 1] = 0.0
+        if math.sqrt(float(sq.sum())) <= thresh:
+            break
         if sweep == max_sweeps:
-            return -1
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = float(a[p, q])
-                if apq == 0.0:
-                    continue
-                app = float(a[p, p])
-                aqq = float(a[q, q])
-                # on Python floats a subnormal apq takes theta to inf with
-                # no warning, and the rotation to t = 0
-                theta = (aqq - app) / (2.0 * apq)
-                if abs(theta) > JACOBI_LARGE_THETA:
-                    t = 0.5 / theta  # theta*theta would overflow
-                elif theta >= 0.0:
-                    t = 1.0 / (theta + math.sqrt(1.0 + theta * theta))
-                else:
-                    t = -1.0 / (-theta + math.sqrt(1.0 + theta * theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # rotate columns p and q in place, then mirror them into
-                # rows p and q; the four (p, q) entries are set afterwards
-                aip = a[:, p]
-                aiq = a[:, q]
-                sq = s * aiq
-                sp = s * aip
-                aip *= c
-                aip -= sq
-                aiq *= c
-                aiq += sp
-                a[p, :] = aip
-                a[q, :] = aiq
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                if want_v:
-                    vip = v[:, p]
-                    viq = v[:, q]
-                    sq = s * viq
-                    sp = s * vip
-                    vip *= c
-                    vip -= sq
-                    viq *= c
-                    viq += sp
-    return -1
+            return -1, None, None
+        for _ in range(m - 1):
+            flat = work.reshape(-1)
+            diag = flat[:: m + 1]
+            apq = flat[h : h * m : m + 1]
+            app, aqq = diag[:h], diag[h:]
+            t = _rotation_tangents(app, aqq, apq)
+            new_pp = app - t * apq
+            new_qq = aqq + t * apq
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            signed_s = np.stack((-s, s))
+            _rotate_halves(
+                work.reshape(m, 2, h), 1, c, signed_s, tmp.reshape(m, 2, h)
+            )
+            _rotate_halves(
+                work.reshape(2, h, m), 0, c[:, None], signed_s[:, :, None],
+                tmp.reshape(2, h, m),
+            )
+            diag[:h] = new_pp
+            diag[h:] = new_qq
+            apq[...] = 0.0
+            np.take(flat, gather, out=buf, mode="clip")
+            work, buf = buf, work
+            if want_v:
+                _rotate_halves(
+                    vt.reshape(2, h, n), 0, c[:, None], signed_s[:, :, None],
+                    tmp.reshape(-1)[: m * n].reshape(2, h, n),
+                )
+                np.take(vt, step, axis=0, out=vbuf, mode="clip")
+                vt, vbuf = vbuf, vt
+    values = np.empty(m)
+    values[layout] = np.diagonal(work)
+    vectors = None
+    if want_v:
+        vectors = np.empty((m, n))
+        vectors[layout] = vt
+        vectors = vectors[:n].T
+    return sweep, values[:n], vectors
 
 
 def _fix_vector_signs(vectors: np.ndarray) -> None:
-    """Flip columns so the first non-negligible component is positive."""
+    """Flip columns so the first non-negligible component is positive.
+
+    A component is negligible at or below 1e-12 times its column's largest
+    magnitude; a zero column has none and is left alone.
+    """
     if vectors.size == 0:
         return
     mags = np.abs(vectors)
-    tops = mags.max(axis=0)
-    for j in range(vectors.shape[1]):
-        if tops[j] == 0.0:
-            continue
-        lead = np.flatnonzero(mags[:, j] > 1e-12 * tops[j])
-        if lead.size and vectors[lead[0], j] < 0.0:
-            vectors[:, j] = -vectors[:, j]
+    lead = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
+    flip = vectors[lead, np.arange(vectors.shape[1])] < 0.0
+    np.negative(vectors, out=vectors, where=flip)
 
 
 def _finish(a_sym, values, vectors, method, iterations) -> Spectrum:
@@ -507,18 +598,20 @@ def eigh_householder_ql(a, want_vectors: bool = False) -> Spectrum:
 
 
 def eigh_jacobi(a, want_vectors: bool = False) -> Spectrum:
-    """Full spectrum via cyclic Jacobi rotations (oracle path, n <= ~256)."""
+    """Full spectrum via cyclic Jacobi rotations in round-robin order.
+
+    The oracle path: independent of the Householder and QL code, and
+    meant for the sizes the tests cross-check, up to a few hundred (with
+    vectors about 0.06 s at n = 64 and 2.2 s at n = 256).  ``iterations``
+    counts sweeps; EigensolveError after JACOBI_MAX_SWEEPS of them.
+    """
     sym = _as_dense_symmetric(a)
-    n = sym.shape[0]
-    work = sym.copy()
-    v = np.eye(n) if want_vectors else np.empty((0, 0))
-    sweeps = _jacobi_cyclic(work, v, want_vectors, JACOBI_MAX_SWEEPS)
+    sweeps, values, vectors = _jacobi_cyclic(sym, want_vectors, JACOBI_MAX_SWEEPS)
     if sweeps < 0:
         raise EigensolveError(
             f"Jacobi iteration did not converge within {JACOBI_MAX_SWEEPS} sweeps"
         )
-    values = np.ascontiguousarray(np.diag(work))
-    return _finish(sym, values, v if want_vectors else None, "jacobi", sweeps)
+    return _finish(sym, values, vectors, "jacobi", sweeps)
 
 
 def hermitian_embedding(g: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ParameterError(ValueError):
@@ -81,8 +82,19 @@ class SymbolMatrix:
         return self.symbol.size
 
     def dense(self) -> np.ndarray:
-        idx = np.abs(np.subtract.outer(np.arange(self.n), np.arange(self.n)))
-        return self.symbol[idx]
+        s = self.symbol
+        return _toeplitz(np.concatenate((s[:0:-1], s)))
+
+
+def _toeplitz(diagonals: np.ndarray) -> np.ndarray:
+    """n x n matrix with entry (i, j) = diagonals[i - j + n - 1].
+
+    ``diagonals`` (length 2n - 1) runs over the offsets i - j from -(n-1)
+    to n-1.  Row i is diagonals[i : i + n] reversed, so the matrix is one
+    copy of a strided view, with no index array as large as itself.
+    """
+    n = (diagonals.size + 1) // 2
+    return sliding_window_view(diagonals[::-1], n)[::-1].copy()
 
 
 def dirichlet_entry(params: ProlateParams, k: int) -> float:

@@ -28,6 +28,7 @@ from .eigensolve import eigh_householder_ql, singular_values_via_gram
 from .kernels import (
     ParameterError,
     ProlateParams,
+    _toeplitz,
     partial_fourier,
     periodic_prolate,
     sinc_prolate,
@@ -208,8 +209,7 @@ def lowrank_tail_split(
     symbol = np.zeros(offsets.size)
     for r in range(1, order + 1):
         symbol += _tail_symbol(params, r, offsets)
-    i = np.arange(n)
-    lowrank = symbol[(i[:, None] - i[None, :]) + (n - 1)]
+    lowrank = _toeplitz(symbol)
     bound = tail_bound_at(params, order)
     return LowRankParts(
         order=order,

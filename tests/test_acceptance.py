@@ -175,7 +175,7 @@ def test_criterion_8_solver_oracle_agreement():
         ql = pr.eigh_householder_ql(a)
         ja = pr.eigh_jacobi(a)
         worst = max(worst, float(np.abs(ql.values - ja.values).max()))
-    for m, n, k in ((256, 128, 63), (128, 64, 31)):
+    for m, n, k in ((256, 128, 63), (128, 64, 31), (1024, 256, 128)):
         dense = pr.periodic_prolate(pr.ProlateParams(M=m, N=n, K=k)).dense()
         ql = pr.eigh_householder_ql(dense)
         ja = pr.eigh_jacobi(dense)

@@ -83,6 +83,35 @@ def test_sign_convention_first_component_positive():
             assert col[lead] > 0.0
 
 
+def _fix_vector_signs_loop(vectors):
+    mags = np.abs(vectors)
+    tops = mags.max(axis=0)
+    for j in range(vectors.shape[1]):
+        if tops[j] == 0.0:
+            continue
+        lead = np.flatnonzero(mags[:, j] > 1e-12 * tops[j])
+        if lead.size and vectors[lead[0], j] < 0.0:
+            vectors[:, j] = -vectors[:, j]
+
+
+def test_vector_signs_match_column_loop_bitwise():
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((9, 12))
+    a[:, 3] = 0.0  # zero column: left alone
+    a[:, 4] = -0.0
+    a[:2, 5] = [-1e-13, 1e-13]  # negligible leading entries are skipped
+    a[2, 5] = -1.0
+    a[0, 6] = -1e-11  # a small leading entry still counts
+    a[:, 7] = -a[:, 7] * 1e-300  # scale-free
+    a[:4, 8] = 0.0
+    for got in (a.copy(), np.asfortranarray(a)):
+        want = a.copy()
+        _fix_vector_signs_loop(want)
+        es._fix_vector_signs(got)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_exhausted_iteration_budget_raises(monkeypatch):
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
     monkeypatch.setattr(es, "QL_BUDGET_PER_ROW", 0)
@@ -313,10 +342,12 @@ def test_singular_values_of_one_by_one_block():
 
 
 # Element-by-element references for the two rotation kernels, kept to pin
-# the slice-vectorised kernels to bitwise-identical output.  The Jacobi
-# reference carries the same large-theta guard as the kernel.  The
-# unblocked Householder reduction is the reference for the blocked one;
-# blocking reorders the sums, so that comparison has a tolerance.
+# the vectorised kernels to bitwise-identical output.  The Jacobi reference
+# follows the kernel's round-robin ordering and rotation rule one element
+# at a time; the older row-cyclic routine stays as a second, independently
+# ordered Jacobi, compared within a tolerance.  The unblocked Householder
+# reduction is the reference for the blocked one; blocking reorders the
+# sums, so that comparison has a tolerance.
 
 
 def _householder_tridiag_unblocked(a, want_q):
@@ -406,8 +437,8 @@ def _ql_implicit_scalar(d, e, z, want_z, budget):
 
 
 def _jacobi_cyclic_scalar(a_array, v_array, want_v, max_sweeps):
-    # runs on nested lists of Python floats, the same IEEE doubles as the
-    # numpy scalars, and writes them back on return
+    # row-cyclic ordering on nested lists of Python floats, the same IEEE
+    # doubles as the numpy scalars, written back on return
     a = a_array.tolist()
     v = v_array.tolist()
     n = len(a)
@@ -490,18 +521,91 @@ def _reference_ql(a, want_vectors=True):
     return es._finish(sym, np.concatenate(values), vectors, "householder_ql", steps)
 
 
+def _rotation_scalar(app, aqq, apq):
+    g = 100.0 * abs(apq)
+    if abs(app) + g == abs(app) and abs(aqq) + g == abs(aqq):
+        return 0.0
+    theta = (aqq - app) / (2.0 * apq)
+    mag = abs(theta)
+    if mag > es.JACOBI_LARGE_THETA:
+        t = 0.5 / mag
+    else:
+        t = 1.0 / (mag + math.sqrt(1.0 + mag * mag))
+    return -t if theta < 0.0 else t
+
+
+def _off_and_norm(a, layout):
+    # the kernel's stopping sums, on the same padded array in the same order
+    sq = np.square(np.array(a)[np.ix_(layout, layout)])
+    total = float(sq.sum())
+    sq.reshape(-1)[:: len(layout) + 1] = 0.0
+    return math.sqrt(float(sq.sum())), math.sqrt(total)
+
+
+def _jacobi_rounds_scalar(a_array, max_sweeps):
+    # Round-robin Jacobi on lists, in the input's own indices (odd n gets a
+    # zero row and column): a round pairs circle[k] with circle[m-1-k],
+    # then circle[1:] turns one place right.  The kernel stores the round
+    # at positions (k, h + k) of layout = circle[:h] + reversed(circle[h:])
+    # and keeps the upper triangle of that layout, so the mirror copy made
+    # here runs the same way.
+    n = a_array.shape[0]
+    m = n + n % 2
+    h = m // 2
+    a = [row + [0.0] * (m - n) for row in a_array.tolist()]
+    a += [[0.0] * m for _ in range(m - n)]
+    vt = [[float(i == j) for j in range(n)] for i in range(m)]
+    circle = list(range(m))
+    start = circle[:h] + circle[h:][::-1]
+    _, norm = _off_and_norm(a, start)
+    thresh = es.JACOBI_OFF_TOL * norm
+    for sweep in range(max_sweeps + 1):
+        if _off_and_norm(a, start)[0] <= thresh:
+            return sweep, a, vt
+        if sweep == max_sweeps:
+            return -1, a, vt
+        for _ in range(m - 1):
+            layout = circle[:h] + circle[h:][::-1]
+            pairs = list(zip(layout[:h], layout[h:]))
+            rot = []
+            for p, q in pairs:
+                app, aqq, apq = a[p][p], a[q][q], a[p][q]
+                t = _rotation_scalar(app, aqq, apq)
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                rot.append((p, q, c, t * c, app - t * apq, aqq + t * apq))
+            for row in a:  # columns
+                for p, q, c, s, _, _ in rot:
+                    x, y = row[p], row[q]
+                    row[p] = x * c - y * s
+                    row[q] = y * c + x * s
+            for rows in (a, vt):  # rows
+                for p, q, c, s, _, _ in rot:
+                    rp, rq = rows[p], rows[q]
+                    rows[p] = [x * c - y * s for x, y in zip(rp, rq)]
+                    rows[q] = [y * c + x * s for x, y in zip(rp, rq)]
+            for p, q, _, _, new_pp, new_qq in rot:
+                a[p][p] = new_pp
+                a[q][q] = new_qq
+                a[p][q] = 0.0
+            for i, x in enumerate(layout):  # mirror the layout's upper triangle
+                for y in layout[i + 1 :]:
+                    a[y][x] = a[x][y]
+            circle = [circle[0], circle[-1]] + circle[1:-1]
+    return -1, a, vt
+
+
 def _reference_jacobi(a):
     sym = es._as_dense_symmetric(a)
-    work = sym.copy()
-    v = np.eye(sym.shape[0])
-    sweeps = _jacobi_cyclic_scalar(work, v, True, es.JACOBI_MAX_SWEEPS)
+    n = sym.shape[0]
+    sweeps, work, vt = _jacobi_rounds_scalar(sym, es.JACOBI_MAX_SWEEPS)
     assert sweeps >= 0
-    return es._finish(sym, np.ascontiguousarray(np.diag(work)), v, "jacobi", sweeps)
+    values = np.array([work[i][i] for i in range(n)])
+    return es._finish(sym, values, np.array(vt[:n]).T, "jacobi", sweeps)
 
 
 def _reference_inputs():
     rng = np.random.default_rng(31)
-    for n in (1, 2, 3, 12, 64):
+    for n in (1, 2, 3, 5, 12, 64):
         yield f"random-{n}", _random_symmetric(rng, n)
     yield "prolate-256-64-31", pr.periodic_prolate(
         pr.ProlateParams(M=256, N=64, K=31)
@@ -521,6 +625,31 @@ def test_vectorised_kernels_match_scalar_reference_bitwise(solver, reference):
         assert np.array_equal(got.vectors, want.vectors), label
         assert got.residual == want.residual, label
         assert got.iterations == want.iterations, label
+
+
+def test_jacobi_orderings_agree_within_backward_error():
+    # round-robin kernel against the row-cyclic scalar routine (n <= 64):
+    # both are backward stable, so values differ by at most the sum of two
+    # backward errors (Weyl), and the vector of a value separated by gap
+    # moves by at most that sum over the gap (Davis-Kahan)
+    for label, a in _reference_inputs():
+        got = pr.eigh_jacobi(a, want_vectors=True)
+        sym = es._as_dense_symmetric(a)
+        work = sym.copy()
+        v = np.eye(sym.shape[0])
+        sweeps = _jacobi_cyclic_scalar(work, v, True, es.JACOBI_MAX_SWEEPS)
+        assert 0 <= sweeps
+        want = es._finish(sym, np.ascontiguousarray(np.diag(work)), v, "", sweeps)
+        allowed = 2 * REDUCTION_RATIO * _unit(a)
+        assert np.abs(got.values - want.values).max() <= allowed, label
+        gaps = np.full(got.values.size, np.inf)
+        step = -np.diff(want.values)
+        gaps[:-1] = np.minimum(gaps[:-1], step)
+        gaps[1:] = np.minimum(gaps[1:], step)
+        bound = np.full(gaps.size, np.inf)  # no bound within a repeated value
+        np.divide(2.0 * allowed, gaps, out=bound, where=gaps > 0.0)
+        moved = np.abs(got.vectors - want.vectors).max(axis=0)
+        assert (moved <= bound).all(), label
 
 
 def _values_only_inputs():
@@ -551,6 +680,21 @@ def test_iteration_counts_recorded_within_budget():
     ja = pr.eigh_jacobi(a, want_vectors=True)
     assert 0 < ja.iterations <= es.JACOBI_MAX_SWEEPS
     assert pr.eigh_jacobi(np.diag([2.0, 1.0])).iterations == 0
+
+
+def test_jacobi_sweeps_on_clustered_spectra():
+    # half of each spectrum clusters at 1 and half at 0; without the skip
+    # of negligible rotations the round-robin ordering converged only
+    # linearly here, and the sinc block used up all 60 sweeps (the
+    # row-cyclic routine took 19 and 21)
+    for a in (
+        pr.sinc_prolate(64, 0.25),
+        pr.periodic_prolate(pr.ProlateParams(M=256, N=128, K=63)),
+    ):
+        spec = pr.eigh_jacobi(a)
+        assert spec.iterations <= 25
+        expect = pr.eigh_householder_ql(a).values
+        assert np.abs(spec.values - expect).max() <= 1e-13
 
 
 def test_jacobi_large_theta_rotation_is_finite():

@@ -1,5 +1,6 @@
 """Matrix builder tests: frozen oracle values plus structural invariants."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,30 @@ def test_builders_finite_at_extreme_bandwidth():
     p = pr.ProlateParams(M=16, N=16, K=7)  # 2K+1 = 15, widest admissible band
     assert np.isfinite(pr.periodic_prolate(p).dense()).all()
     assert np.isfinite(pr.sinc_prolate(16, p.W).dense()).all()
+
+
+def _dense_by_index(symbol):
+    idx = np.abs(np.subtract.outer(np.arange(symbol.size), np.arange(symbol.size)))
+    return symbol[idx]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 257])
+def test_dense_matches_index_construction_bitwise(n):
+    symbol = np.random.default_rng(n).standard_normal(n)
+    dense = pr.SymbolMatrix(symbol).dense()
+    assert dense.flags.c_contiguous and dense.flags.writeable
+    assert np.array_equal(dense, _dense_by_index(symbol))
+
+
+def test_dense_allocates_only_the_result():
+    symbol = pr.sinc_prolate(2048, 0.25)
+    tracemalloc.start()
+    try:
+        dense = symbol.dense()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * dense.nbytes
 
 
 def test_sinc_prolate_values():

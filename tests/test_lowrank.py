@@ -159,6 +159,18 @@ def test_split_structure():
     assert np.all(parts.coeff[anti % 2 == 0] == 0.0)
 
 
+def test_split_lowrank_matches_index_construction_bitwise():
+    for params in (PARAMS, pr.ProlateParams(M=9, N=1, K=2), pr.ProlateParams(M=65, N=33, K=8)):
+        parts = pr.lowrank_tail_split(params, 1e-6)
+        n = params.N
+        offsets = np.arange(-(n - 1), n, dtype=np.float64)
+        symbol = np.zeros(offsets.size)
+        for r in range(1, parts.order + 1):
+            symbol += pr.lowrank._tail_symbol(params, r, offsets)
+        i = np.arange(n)
+        assert np.array_equal(parts.lowrank, symbol[(i[:, None] - i[None, :]) + (n - 1)])
+
+
 def test_split_rank_certificate():
     parts = pr.lowrank_tail_split(PARAMS, 1e-6)
     sigma = pr.singular_values_via_gram(parts.lowrank.astype(complex))
