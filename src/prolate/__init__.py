@@ -32,17 +32,13 @@ from .kernels import (
     ParameterError,
     ProlateParams,
     SymbolMatrix,
-    bandlimit_index_set,
-    dft_matrix,
     dft_submatrix,
     dirichlet_entry,
     partial_fourier,
     periodic_prolate,
-    sampled_exponential,
     sinc_prolate,
 )
 from .lowrank import (
-    EtaZetaTable,
     LowRankParts,
     SplitCertificate,
     certified_order,
@@ -51,7 +47,6 @@ from .lowrank import (
     lowrank_tail_split,
     projector_gap_rank,
     tail_bound_at,
-    tail_term,
     truncation_order,
 )
 
@@ -60,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DegenerateFitError",
     "EigensolveError",
-    "EtaZetaTable",
     "LowRankParts",
     "ParameterError",
     "ProlateParams",
@@ -70,12 +64,10 @@ __all__ = [
     "SymbolMatrix",
     "TransitionReport",
     "TridiagonalFit",
-    "bandlimit_index_set",
     "certified_order",
     "certify_dft_submatrix",
     "certify_lowrank_split",
     "certify_spectrum_clustering",
-    "dft_matrix",
     "dft_submatrix",
     "dirichlet_entry",
     "eigenvectors_via_tridiagonal",
@@ -88,11 +80,9 @@ __all__ = [
     "partial_fourier",
     "periodic_prolate",
     "projector_gap_rank",
-    "sampled_exponential",
     "sinc_prolate",
     "singular_values_via_gram",
     "tail_bound_at",
-    "tail_term",
     "transition_bound",
     "transition_width",
     "truncation_order",

@@ -8,6 +8,8 @@ sqrt(1 - eps).  Each certificate computes its spectrum once, checks it
 against the block's trace, and then, per eps, measures the width and
 checks the two index inequalities, recording explicitly whenever an index
 leaves the valid range and the corresponding check holds vacuously.
+The analytic bound takes any eps in (0, 1/2); a certificate takes eps
+only down to SPECTRUM_EPS_FLOOR, the smallest level its solver resolves.
 """
 from __future__ import annotations
 
@@ -30,12 +32,29 @@ from .kernels import ParameterError, ProlateParams, dft_submatrix, periodic_prol
 # ||A||_2 <= 1 here, so |trace E| <= n ||E||_2 ~ N^2 u (measured <= 5.7e-14
 # up to N = 2048).  K +/- 1 shifts the trace by 2N/M, outside for M < 1/(2Nu).
 TRACE_ROUNDING = 4.0 * 2.0**-52
+# Smallest eps a certificate of a computed spectrum accepts.  QL eigenvalues
+# carry an absolute error of a few u ||B||, so values truly below about
+# 1e-15, or that close to 1, come out as noise: at (256,64,31) and eps=1e-16
+# the QL width is 45 where 40-digit mpmath gives 27, and at N=2048 the noise
+# fails verdicts.  QL widths were exact at every eps >= 3e-14 up to N=4096.
+SPECTRUM_EPS_FLOOR = 1e-13
 
 
 def _check_epsilon(epsilon: float) -> float:
     epsilon = float(epsilon)
     if not 0.0 < epsilon < 0.5:
         raise ParameterError(f"epsilon must lie in (0, 1/2), got {epsilon}")
+    return epsilon
+
+
+def _check_spectrum_epsilon(epsilon: float) -> float:
+    """An eps in [SPECTRUM_EPS_FLOOR, 1/2), the levels a computed spectrum resolves."""
+    epsilon = _check_epsilon(epsilon)
+    if epsilon < SPECTRUM_EPS_FLOOR:
+        raise ParameterError(
+            f"epsilon must be >= {SPECTRUM_EPS_FLOOR:g} to certify a computed"
+            f" spectrum, got {epsilon:g}"
+        )
     return epsilon
 
 
@@ -172,10 +191,11 @@ def certify_spectrum_clustering(
     checks, at each eps, that the eigenvalue at index 2*floor(NW) - ceil(R)
     is >= 1-eps, the one at 2*floor(NW) + ceil(R) + 1 is <= eps, and that
     the number of eigenvalues strictly inside (eps, 1-eps) is at most 2R.
-    Returns one report per eps.  Raises EigensolveError when the computed
-    spectrum does not sum to the block's trace N(2K+1)/M.
+    Returns one report per eps.  Raises ParameterError, before solving,
+    for an eps below SPECTRUM_EPS_FLOOR, and EigensolveError when the
+    computed spectrum does not sum to the block's trace N(2K+1)/M.
     """
-    epsilons = [_check_epsilon(epsilon) for epsilon in epsilons]
+    epsilons = [_check_spectrum_epsilon(epsilon) for epsilon in epsilons]
     if params.N >= params.M:
         raise ParameterError(f"need N < M, got N={params.N}, M={params.M}")
     spectrum = eigh_householder_ql(periodic_prolate(params))
@@ -212,10 +232,11 @@ def certify_dft_submatrix(
     checks mirror the eigenvalue case at levels sqrt(eps) and sqrt(1-eps)
     around index 2*floor(L/(2p)), with the cap evaluated at (L, m).  p = 1
     is the unitary case: every singular value is 1 and the cap is taken as
-    zero.  Returns one report per eps.  Raises EigensolveError when the
-    squares of the singular values do not sum to L/p.
+    zero.  Returns one report per eps.  Raises ParameterError, before
+    solving, for an eps below SPECTRUM_EPS_FLOOR, and EigensolveError when
+    the squares of the singular values do not sum to L/p.
     """
-    epsilons = [_check_epsilon(epsilon) for epsilon in epsilons]
+    epsilons = [_check_spectrum_epsilon(epsilon) for epsilon in epsilons]
     sigma = singular_values_via_gram(dft_submatrix(m, p, row_offset, col_offset))
     length = m // p
     # The squares sum to the block's squared Frobenius norm L/p, up to the

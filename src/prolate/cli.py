@@ -26,7 +26,11 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bounds import certify_dft_submatrix, certify_spectrum_clustering
+from .bounds import (
+    SPECTRUM_EPS_FLOOR,
+    certify_dft_submatrix,
+    certify_spectrum_clustering,
+)
 from .commuting import fit_commuting_tridiagonal
 from .eigensolve import (
     EigensolveError,
@@ -75,8 +79,9 @@ commands:
 
 common keys: out=PATH (default stdout), format=csv|json
 eps accepts a comma-separated list in (0, 1/2); default {eps}
+  transition and certify need eps >= {floor:g} (solver resolution)
 exit codes: 0 ok, 1 certification failed, 2 usage error, 3 numerical error
-""".format(eps="1e-3,1e-6,1e-9,1e-12")
+""".format(eps="1e-3,1e-6,1e-9,1e-12", floor=SPECTRUM_EPS_FLOOR)
 
 
 class UsageError(Exception):
@@ -180,6 +185,12 @@ def parse_args(argv: list[str]) -> RunConfig:
         config.format = fmt
     if "eps" in kv:
         config.epsilons = _parse_eps_list(kv.pop("eps"))
+        lowest = min(config.epsilons)
+        if command in ("transition", "certify") and lowest < SPECTRUM_EPS_FLOOR:
+            raise UsageError(
+                f"{command} needs eps >= {SPECTRUM_EPS_FLOOR:g}, the smallest"
+                f" level a computed spectrum resolves, got {lowest:g}"
+            )
     if "order" in kv:
         config.order = _parse_int("order", kv.pop("order"))
         if config.order < 0:
@@ -430,7 +441,7 @@ def _run_decompose(config: RunConfig):
 
 def _run_commute(config: RunConfig):
     params = _params_from(config)
-    fit = fit_commuting_tridiagonal(periodic_prolate(params).dense(), params)
+    fit = fit_commuting_tridiagonal(periodic_prolate(params), params)
     comments = [
         "commuting symmetric tridiagonal from its closed form",
         f"M={params.M} N={params.N} K={params.K}",

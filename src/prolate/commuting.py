@@ -18,6 +18,7 @@ from .eigensolve import (
     EigensolveError,
     Spectrum,
     _as_dense_symmetric,
+    _finish,
     eigh_householder_ql,
 )
 from .kernels import ParameterError, ProlateParams
@@ -174,14 +175,4 @@ def eigenvectors_via_tridiagonal(fit: TridiagonalFit, b) -> Spectrum:
         )
     tri = eigh_householder_ql(fit.dense(), want_vectors=True)
     rayleigh = np.einsum("ij,ij->j", tri.vectors, b @ tri.vectors)
-    order = np.argsort(-rayleigh, kind="stable")
-    values = rayleigh[order]
-    vectors = np.ascontiguousarray(tri.vectors[:, order])
-    residual = float(np.abs(b @ vectors - vectors * values[None, :]).max(initial=0.0))
-    return Spectrum(
-        values=values,
-        vectors=vectors,
-        method="householder_ql",
-        residual=residual,
-        iterations=tri.iterations,
-    )
+    return _finish(b, rayleigh, tri.vectors, "householder_ql", tri.iterations)

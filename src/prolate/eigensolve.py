@@ -626,14 +626,13 @@ def hermitian_embedding(g: np.ndarray) -> np.ndarray:
     return out
 
 
-def sqrt_clamped(values: np.ndarray, noise_floor: float = GRAM_NOISE_FLOOR) -> np.ndarray:
+def sqrt_clamped(values: np.ndarray) -> np.ndarray:
     """Square roots of Gram eigenvalues with PSD clamping and a noise floor.
 
     Values in [-1e-12, 0) are clamped to zero (Gram matrices are PSD
-    analytically); anything below -1e-12 signals a solver failure.  With a
-    positive noise_floor, values below noise_floor * max(values) collapse
-    to exactly zero so that the noise tail is reproducible instead of
-    sqrt-amplified jitter.
+    analytically); anything below -1e-12 signals a solver failure.  Values
+    below GRAM_NOISE_FLOOR * max(values) collapse to exactly zero so that
+    the noise tail is reproducible instead of sqrt-amplified jitter.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
@@ -644,15 +643,11 @@ def sqrt_clamped(values: np.ndarray, noise_floor: float = GRAM_NOISE_FLOOR) -> n
             f"Gram eigenvalue {low:.3e} below the -1e-12 PSD clamp"
         )
     clamped = np.maximum(values, 0.0)
-    top = float(clamped.max())
-    if noise_floor > 0.0 and top > 0.0:
-        clamped[clamped < noise_floor * top] = 0.0
+    clamped[clamped < GRAM_NOISE_FLOOR * clamped.max()] = 0.0
     return np.sqrt(clamped)
 
 
-def singular_values_via_gram(
-    f: np.ndarray, noise_floor: float = GRAM_NOISE_FLOOR
-) -> np.ndarray:
+def singular_values_via_gram(f: np.ndarray) -> np.ndarray:
     """Singular values of a real or complex matrix, descending, via its Gram.
 
     A real F has the real symmetric Gram F^T F, diagonalized directly.  A
@@ -666,6 +661,6 @@ def singular_values_via_gram(
     if np.iscomplexobj(f):
         f = f.astype(np.complex128, copy=False)
         gram = hermitian_embedding(f.conj().T @ f)
-        return sqrt_clamped(eigh_householder_ql(gram).values[0::2], noise_floor)
+        return sqrt_clamped(eigh_householder_ql(gram).values[0::2])
     f = f.astype(np.float64, copy=False)
-    return sqrt_clamped(eigh_householder_ql(f.T @ f).values, noise_floor)
+    return sqrt_clamped(eigh_householder_ql(f.T @ f).values)

@@ -1,8 +1,8 @@
 """Dense constructors for time- and band-limiting operator matrices.
 
 Builds the periodic (Dirichlet-kernel) prolate matrix, the classical
-sinc-kernel prolate matrix, the unitary DFT matrix with its cyclic square
-submatrices, and partial Fourier frames of sampled complex exponentials.
+sinc-kernel prolate matrix, cyclic square submatrices of the unitary DFT
+matrix, and partial Fourier frames of sampled complex exponentials.
 All builders are pure functions of their parameters and return freshly
 allocated arrays that are safe to share read-only.
 """
@@ -82,19 +82,15 @@ class SymbolMatrix:
         return self.symbol.size
 
     def dense(self) -> np.ndarray:
+        """The n x n matrix, as one copy of a strided view.
+
+        Over the offsets -(n-1)..n-1 the symbol reads as the palindrome
+        ``diagonals``; row i is diagonals[n-1-i : 2n-1-i], so no index
+        array as large as the matrix is formed.
+        """
         s = self.symbol
-        return _toeplitz(np.concatenate((s[:0:-1], s)))
-
-
-def _toeplitz(diagonals: np.ndarray) -> np.ndarray:
-    """n x n matrix with entry (i, j) = diagonals[i - j + n - 1].
-
-    ``diagonals`` (length 2n - 1) runs over the offsets i - j from -(n-1)
-    to n-1.  Row i is diagonals[i : i + n] reversed, so the matrix is one
-    copy of a strided view, with no index array as large as itself.
-    """
-    n = (diagonals.size + 1) // 2
-    return sliding_window_view(diagonals[::-1], n)[::-1].copy()
+        diagonals = np.concatenate((s[:0:-1], s))
+        return sliding_window_view(diagonals, s.size)[::-1].copy()
 
 
 def dirichlet_entry(params: ProlateParams, k: int) -> float:
@@ -143,11 +139,6 @@ def sinc_prolate(n: int, w: float) -> SymbolMatrix:
     return SymbolMatrix(symbol)
 
 
-def dft_matrix(m: int) -> np.ndarray:
-    """Unitary DFT matrix with entries exp(-2i*pi*j*k/m)/sqrt(m)."""
-    return dft_submatrix(m, 1)
-
-
 def dft_submatrix(
     m: int, p: int, row_offset: int = 0, col_offset: int = 0
 ) -> np.ndarray:
@@ -170,13 +161,6 @@ def dft_submatrix(
     return np.exp(-2j * np.pi * phase / m) / math.sqrt(m)
 
 
-def sampled_exponential(n: int, f: float) -> np.ndarray:
-    """Length-n complex exponential [exp(2i*pi*f*t)] for t = 0..n-1."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterError(f"dimension must be a positive integer, got {n!r}")
-    return np.exp(2j * np.pi * float(f) * np.arange(n))
-
-
 def partial_fourier(n: int, w: float) -> np.ndarray:
     """n x (2*floor(n*w)+1) frame of the lowest-frequency DFT vectors.
 
@@ -197,12 +181,3 @@ def partial_fourier(n: int, w: float) -> np.ndarray:
     ks = np.arange(-kmax, kmax + 1)
     t = np.arange(n)
     return np.exp(2j * np.pi * np.outer(t, ks) / n) / math.sqrt(n)
-
-
-def bandlimit_index_set(m: int, k: int) -> np.ndarray:
-    """Frequency bins {0..k} plus {m-k..m-1} kept by the band-limiting step."""
-    if k < 0 or 2 * k + 1 >= m:
-        raise ParameterError(f"need 0 <= 2k+1 < m, got k={k}, m={m}")
-    if k == 0:
-        return np.array([0])
-    return np.concatenate([np.arange(k + 1), np.arange(m - k, m)])

@@ -10,7 +10,9 @@ where eta is the Dirichlet eta function eta(s) = (1 - 2^(1-s)) zeta(s),
 evaluated exactly from its Bernoulli-number closed form at even s.
 Truncating the series after R terms leaves a matrix of rank at most 4R
 (it factors through monomial-times-oscillation columns) plus a tail whose
-maximum absolute row sum is certified by a geometric-series bound.  This
+maximum absolute row sum is certified by a geometric-series bound.  Each
+term is even in k, so the truncated part is a symmetric Toeplitz matrix
+built, like the two kernels, from its symbol at offsets 0..N-1.  This
 module materializes the split, certifies the tail, and runs the numeric
 effective-rank check of the sinc-kernel matrix against its partial
 Fourier projector.
@@ -28,7 +30,7 @@ from .eigensolve import eigh_householder_ql, singular_values_via_gram
 from .kernels import (
     ParameterError,
     ProlateParams,
-    _toeplitz,
+    SymbolMatrix,
     partial_fourier,
     periodic_prolate,
     sinc_prolate,
@@ -63,39 +65,6 @@ def eta_even(s: int) -> float:
         bern.append(-total / (j + 1))
     exact = (1 - Fraction(1, 2 ** (s - 1))) * abs(bern[s]) * (2 * _PI) ** s
     return float(exact / (2 * math.factorial(s)))
-
-
-@dataclass(frozen=True)
-class EtaZetaTable:
-    """Precomputed eta values at even arguments, keyed by the argument."""
-
-    values: dict[int, float]
-
-    @classmethod
-    def up_to(cls, s_max: int) -> "EtaZetaTable":
-        if s_max < 2:
-            raise ParameterError(f"need s_max >= 2, got {s_max}")
-        return cls({s: eta_even(s) for s in range(2, s_max + 1, 2)})
-
-    def __getitem__(self, s: int) -> float:
-        return self.values[s]
-
-
-def tail_term(params: ProlateParams, r: int, k: int) -> float:
-    """Series term t(r; k) at truncation index r >= 1 and offset |k| < M."""
-    if not isinstance(r, (int, np.integer)) or r < 1:
-        raise ParameterError(f"series index must be a positive integer, got {r!r}")
-    k = int(k)
-    if abs(k) >= params.M:
-        raise ParameterError(f"offset |k| must be < M={params.M}, got {k}")
-    m = params.M
-    return (
-        2.0
-        / (m * math.pi)
-        * eta_even(2 * int(r))
-        * (k / m) ** (2 * int(r) - 1)
-        * math.sin(2.0 * math.pi * params.W * k)
-    )
 
 
 def _tail_symbol(params: ProlateParams, r: int, offsets: np.ndarray) -> np.ndarray:
@@ -205,11 +174,10 @@ def lowrank_tail_split(
     powers = (rows[:, None] / m) ** np.arange(2 * order)[None, :]
     sin_factor = powers * np.sin(2.0 * math.pi * params.W * rows)[:, None]
     cos_factor = powers * np.cos(2.0 * math.pi * params.W * rows)[:, None]
-    offsets = np.arange(-(n - 1), n, dtype=np.float64)
-    symbol = np.zeros(offsets.size)
+    symbol = np.zeros(n)
     for r in range(1, order + 1):
-        symbol += _tail_symbol(params, r, offsets)
-    lowrank = _toeplitz(symbol)
+        symbol += _tail_symbol(params, r, rows)
+    lowrank = SymbolMatrix(symbol).dense()
     bound = tail_bound_at(params, order)
     return LowRankParts(
         order=order,
@@ -260,9 +228,9 @@ def certify_lowrank_split(
     """
     if params.N >= params.M:
         raise ParameterError(f"need N < M, got N={params.N}, M={params.M}")
-    difference = (
-        periodic_prolate(params).dense() - sinc_prolate(params.N, params.W).dense()
-    )
+    difference = SymbolMatrix(
+        periodic_prolate(params).symbol - sinc_prolate(params.N, params.W).symbol
+    ).dense()
     certificates = []
     for epsilon in epsilons:
         parts = lowrank_tail_split(params, _check_epsilon(epsilon), order=order)

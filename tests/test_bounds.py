@@ -126,6 +126,41 @@ def test_certify_clustering_rejects_bad_arguments():
         pr.certify_spectrum_clustering(pr.ProlateParams(M=64, N=16, K=5), [1e-3, 0.6])
 
 
+def test_certificates_refuse_eps_below_the_floor(monkeypatch):
+    solves = _spy(monkeypatch, "eigh_householder_ql")
+    grams = _spy(monkeypatch, "singular_values_via_gram")
+    with pytest.raises(pr.ParameterError, match="1e-13"):
+        pr.certify_spectrum_clustering(pr.ProlateParams(M=64, N=16, K=5), [1e-3, 1e-16])
+    with pytest.raises(pr.ParameterError, match="1e-13"):
+        pr.certify_dft_submatrix(64, 4, [1e-16])
+    assert solves == [] and grams == []
+    # the analytic bound and the width count keep the domain (0, 1/2)
+    assert pr.transition_bound(16, 64, 1e-16) > 0.0
+    assert pr.transition_width(np.array([1.0, 0.5, 0.0]), 1e-16) == 1
+
+
+def test_widths_at_the_floor_match_mpmath():
+    # 40-digit eigenvalues of the (256, 64, 31) block; below the floor QL
+    # noise shows (width 45 against 27 at eps = 1e-16)
+    mpmath = pytest.importorskip("mpmath")
+    params = pr.ProlateParams(M=256, N=64, K=31)
+    levels = [bounds.SPECTRUM_EPS_FLOOR, 1e-12]
+    with mpmath.workdps(40):
+        m, n, k = params.M, params.N, params.K
+        symbol = [mpmath.mpf(2 * k + 1) / m] + [
+            mpmath.sin(mpmath.pi * (2 * k + 1) * d / m) / (m * mpmath.sin(mpmath.pi * d / m))
+            for d in range(1, n)
+        ]
+        block = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                block[i, j] = symbol[abs(i - j)]
+        exact = mpmath.eigsy(block, eigvals_only=True)
+        widths = [sum(1 for lam in exact if eps < lam < 1 - eps) for eps in levels]
+    reports = pr.certify_spectrum_clustering(params, levels)
+    assert [r.width for r in reports] == widths
+
+
 def test_certify_dft_unitary_case():
     (report,) = pr.certify_dft_submatrix(8, 1, [1e-3])
     assert report.width == 0

@@ -12,6 +12,7 @@ from prolate.cli import (
     _KEYS,
     COMMUTE_MAX_N,
     MAX_DENSE_DIM,
+    SPECTRUM_EPS_FLOOR,
     SWEEP_MAX_M,
     UsageError,
     main,
@@ -127,7 +128,8 @@ def test_parse_args_rejects_or_round_trips(command, pairs):
             assert getattr(config, _INT_FIELDS[key]) == int(value, 10)
 
 
-def test_commute_eigendecomposes_each_matrix_once(monkeypatch, capsys):
+def _count_solves(monkeypatch):
+    """Sizes of every eigh_householder_ql call made through any prolate module."""
     original = prolate.eigh_householder_ql
     sizes = []
 
@@ -139,6 +141,11 @@ def test_commute_eigendecomposes_each_matrix_once(monkeypatch, capsys):
         bound = getattr(module, "eigh_householder_ql", None)
         if name.startswith("prolate") and bound is original:
             monkeypatch.setattr(module, "eigh_householder_ql", counting)
+    return sizes
+
+
+def test_commute_eigendecomposes_each_matrix_once(monkeypatch, capsys):
+    sizes = _count_solves(monkeypatch)
     # B and its tridiagonal T: two solves
     assert main(["commute", "M=64", "N=16", "K=7"]) == 0
     assert sorted(sizes) == [16, 16]
@@ -151,6 +158,28 @@ def test_commute_eigendecomposes_each_matrix_once(monkeypatch, capsys):
     assert main(["transition", "ratio-sweep", "M=64..256"]) == 0
     assert sizes == [16, 32, 64]
     capsys.readouterr()
+
+
+def test_eps_below_the_spectrum_floor_exits_2(monkeypatch, capsys):
+    sizes = _count_solves(monkeypatch)
+    for argv in (
+        ["transition", "M=256", "N=64", "K=31", "eps=1e-16"],
+        ["transition", "ratio-sweep", "M=64..256", "eps=1e-3,1e-16"],
+        ["certify", "M=8192", "N=2048", "K=1024", "eps=1e-16"],
+        ["certify", "M=1024", "p=4", "row=3", "col=7", "eps=1e-16"],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"eps >= {SPECTRUM_EPS_FLOOR:g}" in captured.err
+    assert sizes == []
+    # the floor itself is accepted, and decompose keeps the domain (0, 1/2)
+    at_floor = f"eps={SPECTRUM_EPS_FLOOR!r}"
+    assert parse_args(["certify", "M=64", "p=4", at_floor]).epsilons == (
+        SPECTRUM_EPS_FLOOR,
+    )
+    config = parse_args(["decompose", "M=1024", "N=256", "K=128", "eps=1e-16"])
+    assert config.epsilons == (1e-16,)
 
 
 def test_invalid_model_parameters_exit_2(capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import prolate as pr
 import prolate.eigensolve as es
-from prolate.eigensolve import sqrt_clamped
+from prolate.eigensolve import GRAM_NOISE_FLOOR, sqrt_clamped
 
 
 def _random_symmetric(rng, n, scale=1.0):
@@ -229,10 +229,13 @@ def test_leading_block_interlacing(m, n, k):
 
 def test_sqrt_clamped_paths():
     values = np.array([1.0, 1e-30, -5e-13])
-    out = sqrt_clamped(values, noise_floor=0.0)
-    assert out[0] == 1.0 and out[2] == 0.0
-    out = sqrt_clamped(values, noise_floor=1e-9)
+    out = sqrt_clamped(values)
+    assert out[0] == 1.0 and out[2] == 0.0  # -5e-13 clamped
     assert out[1] == 0.0  # snapped: far below the top of the spectrum
+    # the floor is relative to the top value and keeps values at it
+    top = 4.0
+    out = sqrt_clamped(np.array([top, top * GRAM_NOISE_FLOOR, 0.5 * top * GRAM_NOISE_FLOOR]))
+    assert out[1] == math.sqrt(top * GRAM_NOISE_FLOOR) and out[2] == 0.0
     with pytest.raises(pr.EigensolveError):
         sqrt_clamped(np.array([1.0, -1e-11]))
 
@@ -247,9 +250,9 @@ def test_hermitian_embedding_doubles_spectrum():
 
 
 def test_singular_values_unitary_and_single_column():
-    sigma = pr.singular_values_via_gram(pr.dft_matrix(16))
+    sigma = pr.singular_values_via_gram(pr.dft_submatrix(16, 1))
     assert np.abs(sigma - 1.0).max() <= 1e-12
-    col = pr.sampled_exponential(9, 0.2)[:, None] / 3.0
+    col = np.exp(2j * np.pi * 0.2 * np.arange(9))[:, None] / 3.0
     sigma = pr.singular_values_via_gram(col)
     assert sigma.shape == (1,)
     assert sigma[0] == pytest.approx(1.0, abs=1e-13)

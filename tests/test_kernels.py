@@ -119,9 +119,9 @@ def test_bandlimit_projection_identity(m, k):
     # full-size block equals conjugating the band projector by the DFT
     p = pr.ProlateParams(M=m, N=m, K=k)
     dense = pr.periodic_prolate(p).dense()
-    f = pr.dft_matrix(m)
+    f = _dft(m)
     proj = np.zeros((m, m))
-    keep = pr.bandlimit_index_set(m, k)
+    keep = np.r_[0 : k + 1, m - k : m]  # bins 0..k and m-k..m-1
     proj[keep, keep] = 1.0
     via_dft = f.conj().T @ proj @ f
     assert np.abs(via_dft.imag).max() <= 1e-12
@@ -177,34 +177,42 @@ def test_sinc_prolate_rejects_bad_bandwidth():
         pr.sinc_prolate(0, 0.25)
 
 
+def _dft(m):
+    """Unitary DFT matrix from numpy's FFT, independent of the builders."""
+    return np.fft.fft(np.eye(m), axis=0) / math.sqrt(m)
+
+
 def test_dft_small_cases():
-    assert np.array_equal(pr.dft_matrix(1), np.ones((1, 1), dtype=complex))
-    f2 = pr.dft_matrix(2)
+    assert np.array_equal(pr.dft_submatrix(1, 1), np.ones((1, 1), dtype=complex))
+    f2 = pr.dft_submatrix(2, 1)
     assert np.abs(f2 - np.array([[1, 1], [1, -1]]) / math.sqrt(2)).max() <= 1e-15
-    f4 = pr.dft_matrix(4)
+    f4 = pr.dft_submatrix(4, 1)
     expected = 0.5 * np.array([1, -1j, -1, 1j])
     assert np.abs(f4[:, 1] - expected).max() <= 1e-15
+    for m, f in ((2, f2), (4, f4)):
+        assert np.abs(f - _dft(m)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 64])
 def test_dft_unitary(m):
-    f = pr.dft_matrix(m)
+    f = pr.dft_submatrix(m, 1)
+    assert np.abs(f - _dft(m)).max() <= 1e-15
     assert np.abs(f @ f.conj().T - np.eye(m)).max() <= 1e-12
 
 
 def test_dft_submatrix_leading_block():
     sub = pr.dft_submatrix(4, 2)
     assert np.abs(sub - 0.5 * np.array([[1, 1], [1, -1j]])).max() <= 1e-15
-    f = pr.dft_matrix(8)
-    assert np.array_equal(pr.dft_submatrix(8, 2), f[:4, :4])
+    f = _dft(8)
+    assert np.abs(pr.dft_submatrix(8, 2) - f[:4, :4]).max() <= 1e-15
 
 
 def test_dft_submatrix_wraps_cyclically():
-    f = pr.dft_matrix(8)
+    f = _dft(8)
     sub = pr.dft_submatrix(8, 2, row_offset=6, col_offset=5)
     rows = [6, 7, 0, 1]
     cols = [5, 6, 7, 0]
-    assert np.array_equal(sub, f[np.ix_(rows, cols)])
+    assert np.abs(sub - f[np.ix_(rows, cols)]).max() <= 1e-15
     # offsets are cyclic, so a full-period shift changes nothing
     assert np.array_equal(sub, pr.dft_submatrix(8, 2, 14, -3))
 
@@ -220,7 +228,7 @@ def test_partial_fourier_shape_and_columns():
     frame = pr.partial_fourier(8, 0.25)
     assert frame.shape == (8, 5)
     for j, k in enumerate(range(-2, 3)):
-        col = pr.sampled_exponential(8, k / 8) / math.sqrt(8)
+        col = np.exp(2j * np.pi * (k / 8) * np.arange(8)) / math.sqrt(8)
         assert np.abs(frame[:, j] - col).max() <= 1e-15
 
 
@@ -240,3 +248,12 @@ def test_partial_fourier_rejects_bad_bandwidth():
     for w in (0.0, 0.5, 1.2):
         with pytest.raises(pr.ParameterError):
             pr.partial_fourier(8, w)
+
+
+def test_public_surface():
+    for name in pr.__all__:
+        assert getattr(pr, name) is not None, name
+    removed = {"EtaZetaTable", "bandlimit_index_set", "dft_matrix",
+               "sampled_exponential", "tail_term"}
+    assert not removed & set(pr.__all__)
+    assert not any(hasattr(pr, name) for name in removed)
