@@ -25,7 +25,9 @@ from .eigensolve import (
     eigh_householder_ql,
     singular_values_via_gram,
 )
-from .kernels import ParameterError, ProlateParams, dft_submatrix, periodic_prolate
+from .kernels import (
+    ParameterError, ProlateParams, _check_integer, dft_submatrix, periodic_prolate
+)
 
 # A spectrum must sum to the block's trace N(2K+1)/M.  Its sum is the trace
 # of A + E, E the solver's backward error with ||E||_2 ~ n u ||A||_2, and
@@ -66,10 +68,8 @@ def transition_bound(n: int, m: int, epsilon: float) -> float:
     width of the n x n spectrum at level eps.
     """
     epsilon = _check_epsilon(epsilon)
-    if not (isinstance(n, (int, np.integer)) and isinstance(m, (int, np.integer))):
-        raise ParameterError(f"sizes must be integers, got n={n!r}, m={m!r}")
-    if n < 1:
-        raise ParameterError(f"n must be positive, got {n}")
+    n = _check_integer(n, "n", positive=True)
+    m = _check_integer(m, "m")
     if n >= m:
         raise ParameterError(f"need n < m, got n={n}, m={m}")
     first = (4.0 / math.pi**2 * math.log(8.0 * n) + 6.0) * math.log(16.0 / epsilon)
@@ -196,8 +196,7 @@ def certify_spectrum_clustering(
     computed spectrum does not sum to the block's trace N(2K+1)/M.
     """
     epsilons = [_check_spectrum_epsilon(epsilon) for epsilon in epsilons]
-    if params.N >= params.M:
-        raise ParameterError(f"need N < M, got N={params.N}, M={params.M}")
+    params._check_n_below_m()
     spectrum = eigh_householder_ql(periodic_prolate(params))
     lam = spectrum.values
     total = math.fsum(lam)

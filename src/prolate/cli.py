@@ -52,9 +52,10 @@ DEFAULT_EPSILONS = (1e-3, 1e-6, 1e-9, 1e-12)
 SWEEP_MAX_M = 8192
 # Largest dense matrix the eigensolver is given: N for the M= N= K=
 # commands, 2L = 2M/p for the Hermitian embedding behind certify M= p= and
-# dft-sub.  At the limit `eigs M=16384 N=4096 K=2048` takes 5.4 s and 357 MB
-# peak (its block splits by parity), `dft-sub M=4096 p=2` 14 s and 379 MB
-# (two cores, no numba).
+# dft-sub.  At the limit, best of 2 on two cores without numba, `eigs M=16384
+# N=4096 K=2048` takes 8.0 s and 221 MB peak (its block splits by parity),
+# `dft-sub M=4096 p=2` 22 s and 378 MB, and `decompose M=16384 N=4096 K=2048`
+# 106 s and 578 MB (22 s and 172 MB at N=2048).
 MAX_DENSE_DIM = 4096
 # Largest N for commute, which solves B and its tridiagonal with vectors.
 # At the limit `commute M=3008 N=752 K=375` takes 3.6 s and 88 MB peak
@@ -230,8 +231,6 @@ def parse_args(argv: list[str]) -> RunConfig:
         config.row_offset = _parse_int("row", kv.pop("row"))
     if "col" in kv:
         config.col_offset = _parse_int("col", kv.pop("col"))
-    if kv:
-        raise UsageError(f"unhandled keys: {sorted(kv)}")
 
     needs_params = command in ("eigs", "decompose", "commute") or (
         command in ("transition", "certify") and config.p is None
@@ -262,13 +261,6 @@ def _check_size(config: RunConfig) -> None:
             raise UsageError(
                 f"2M/p must be <= {MAX_DENSE_DIM} (the Gram's real embedding), got {dim}"
             )
-
-
-def _params_from(config: RunConfig) -> ProlateParams:
-    try:
-        return ProlateParams(M=config.m, N=config.n, K=config.k)
-    except ParameterError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _csv(comments: list[str], header: str, rows: list[list[str]]) -> str:
@@ -322,7 +314,7 @@ def _sidecar(config: RunConfig, comments: list[str]) -> tuple[Path, str] | None:
 
 
 def _run_eigs(config: RunConfig):
-    params = _params_from(config)
+    params = ProlateParams(M=config.m, N=config.n, K=config.k)
     spectrum = eigh_householder_ql(periodic_prolate(params))
     comments = [
         "eigenvalues of the N x N periodic prolate block, descending",
@@ -352,7 +344,7 @@ def _mnk_cells(params: ProlateParams) -> list[str]:
 
 def _run_transition(config: RunConfig):
     if config.sweep is None:
-        grid = [_params_from(config)]
+        grid = [ProlateParams(M=config.m, N=config.n, K=config.k)]
         comments = ["transition width against twice the analytic half-width cap"]
     else:
         lo, hi = config.sweep
@@ -394,7 +386,7 @@ def _report_cells(report) -> list[str]:
 
 def _run_certify(config: RunConfig):
     if config.p is None:
-        params = _params_from(config)
+        params = ProlateParams(M=config.m, N=config.n, K=config.k)
         reports = certify_spectrum_clustering(params, config.epsilons)
         lead = _mnk_cells(params)
         comments = [
@@ -418,7 +410,7 @@ def _run_certify(config: RunConfig):
 
 
 def _run_decompose(config: RunConfig):
-    params = _params_from(config)
+    params = ProlateParams(M=config.m, N=config.n, K=config.k)
     certificates = certify_lowrank_split(params, config.epsilons, order=config.order)
     rows = [
         [
@@ -440,7 +432,7 @@ def _run_decompose(config: RunConfig):
 
 
 def _run_commute(config: RunConfig):
-    params = _params_from(config)
+    params = ProlateParams(M=config.m, N=config.n, K=config.k)
     fit = fit_commuting_tridiagonal(periodic_prolate(params), params)
     comments = [
         "commuting symmetric tridiagonal from its closed form",
@@ -497,7 +489,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return run(config)
-    except (UsageError, ParameterError) as exc:
+    except ParameterError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except EigensolveError as exc:

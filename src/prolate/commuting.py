@@ -53,14 +53,16 @@ class TridiagonalFit:
     eigenvector pairs whose direct eigenvalue is separated from its
     neighbours by more than EIGENVALUE_GAP (NaN for closer pairs), over
     which ``compared``, ``max_value_dev`` (Rayleigh quotient against
-    direct eigenvalue) and ``min_alignment`` are taken.  Otherwise
-    ``alignment`` is None and nothing is compared.
+    direct eigenvalue) and ``min_alignment`` are taken, and ``tridiagonal``
+    keeps the compared spectrum.  Otherwise both are None and nothing is
+    compared.
     """
 
     diag: np.ndarray
     offdiag: np.ndarray
     commutator_norm: float
     alignment: np.ndarray | None = field(repr=False, default=None)
+    tridiagonal: Spectrum | None = field(repr=False, default=None)
     compared: int = 0
     max_value_dev: float = 0.0
     min_alignment: float = 1.0
@@ -89,7 +91,7 @@ class TridiagonalFit:
 def _compare_with_direct(fit: TridiagonalFit, b: np.ndarray) -> None:
     """Fill the fit's comparison fields from one direct eigendecomposition."""
     direct = eigh_householder_ql(b, want_vectors=True)
-    via_tri = eigenvectors_via_tridiagonal(fit, b)
+    via_tri = fit.tridiagonal = eigenvectors_via_tridiagonal(fit, b)
     lam = direct.values
     n = lam.size
     gaps = np.full(n, np.inf)

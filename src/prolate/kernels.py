@@ -19,6 +19,22 @@ class ParameterError(ValueError):
     """A parameter is outside the documented domain of an operation."""
 
 
+def _check_integer(value, name: str, positive: bool = False) -> int:
+    """``value`` as an int: a Python or numpy integer, never a bool."""
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not is_int or (positive and value < 1):
+        kind = "a positive integer" if positive else "an integer"
+        raise ParameterError(f"{name} must be {kind}, got {value!r}")
+    return int(value)
+
+
+def _check_bandwidth(w) -> float:
+    w = float(w)
+    if not 0.0 < w < 0.5:
+        raise ParameterError(f"bandwidth ratio must lie in (0, 1/2), got {w}")
+    return w
+
+
 @dataclass(frozen=True)
 class ProlateParams:
     """Problem sizes for a periodic prolate matrix.
@@ -35,9 +51,7 @@ class ProlateParams:
 
     def __post_init__(self) -> None:
         for name in ("M", "N", "K"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            _check_integer(getattr(self, name), name)
         if self.M < 1:
             raise ParameterError(f"M must be positive, got {self.M}")
         if self.N < 1:
@@ -60,6 +74,11 @@ class ProlateParams:
     def cluster_point(self) -> float:
         """N(2K+1)/M, the expected count of near-unit eigenvalues."""
         return self.N * (2 * self.K + 1) / self.M
+
+    def _check_n_below_m(self) -> None:
+        """The series split and the transition bound need N < M strictly."""
+        if self.N >= self.M:
+            raise ParameterError(f"need N < M, got N={self.N}, M={self.M}")
 
 
 @dataclass
@@ -126,11 +145,8 @@ def sinc_prolate(n: int, w: float) -> SymbolMatrix:
 
     symbol[0] is the analytic limit 2w; symbol[k] = sin(2*pi*w*k)/(pi*k).
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterError(f"dimension must be a positive integer, got {n!r}")
-    w = float(w)
-    if not 0.0 < w < 0.5:
-        raise ParameterError(f"bandwidth ratio must lie in (0, 1/2), got {w}")
+    n = _check_integer(n, "dimension", positive=True)
+    w = _check_bandwidth(w)
     symbol = np.empty(n, dtype=np.float64)
     symbol[0] = 2.0 * w
     if n > 1:
@@ -148,10 +164,8 @@ def dft_submatrix(
     col_offset+L-1 with indices taken mod m, so consecutive blocks wrap
     around the period.  Only the block is built, from phases j*k mod m.
     """
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ParameterError(f"dimension must be a positive integer, got {m!r}")
-    if not isinstance(p, (int, np.integer)) or p < 1:
-        raise ParameterError(f"divisor must be a positive integer, got {p!r}")
+    m = _check_integer(m, "dimension", positive=True)
+    p = _check_integer(p, "divisor", positive=True)
     if m % p != 0:
         raise ParameterError(f"p={p} does not divide m={m}")
     length = m // p
@@ -168,16 +182,9 @@ def partial_fourier(n: int, w: float) -> np.ndarray:
     k = -floor(n*w)..floor(n*w) in ascending order.  The columns are
     orthonormal because the frequencies are distinct mod n.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterError(f"dimension must be a positive integer, got {n!r}")
-    w = float(w)
-    if not 0.0 < w < 0.5:
-        raise ParameterError(f"bandwidth ratio must lie in (0, 1/2), got {w}")
-    kmax = int(math.floor(n * w))
-    if 2 * kmax + 1 > n:
-        raise ParameterError(
-            f"2*floor(n*w)+1 = {2 * kmax + 1} exceeds the dimension n={n}"
-        )
+    n = _check_integer(n, "dimension", positive=True)
+    w = _check_bandwidth(w)
+    kmax = math.floor(n * w)  # n*w rounds below n/2, so 2*kmax+1 <= n
     ks = np.arange(-kmax, kmax + 1)
     t = np.arange(n)
     return np.exp(2j * np.pi * np.outer(t, ks) / n) / math.sqrt(n)

@@ -31,7 +31,7 @@ from .kernels import (
     ParameterError,
     ProlateParams,
     SymbolMatrix,
-    partial_fourier,
+    _check_integer,
     periodic_prolate,
     sinc_prolate,
 )
@@ -54,9 +54,7 @@ def eta_even(s: int) -> float:
     number B_s from the recurrence sum_{i=0..j} C(j+1, i) B_i = 0.  It is
     evaluated in rationals, pi taken to 62 decimals, and rounded once.
     """
-    if not isinstance(s, (int, np.integer)) or isinstance(s, bool):
-        raise ParameterError(f"s must be an integer, got {s!r}")
-    s = int(s)
+    s = _check_integer(s, "s")
     if s % 2 != 0 or not 2 <= s <= 200:
         raise ParameterError(f"s must be an even integer in [2, 200], got {s}")
     bern = [Fraction(1)]
@@ -81,8 +79,7 @@ def _tail_symbol(params: ProlateParams, r: int, offsets: np.ndarray) -> np.ndarr
 def truncation_order(params: ProlateParams, epsilon: float) -> int:
     """Ceiling of max(-log(8*pi*((M/N)^2-1)*eps) / (2 log(M/N)), 0)."""
     epsilon = _check_epsilon(epsilon)
-    if params.N >= params.M:
-        raise ParameterError(f"need N < M, got N={params.N}, M={params.M}")
+    params._check_n_below_m()
     ratio = params.M / params.N
     arg = 8.0 * math.pi * (ratio**2 - 1.0) * epsilon
     return math.ceil(max(-math.log(arg) / (2.0 * math.log(ratio)), 0.0))
@@ -96,8 +93,7 @@ def tail_bound_at(params: ProlateParams, order: int) -> float:
     """
     if order < 0:
         raise ParameterError(f"order must be non-negative, got {order}")
-    if params.N >= params.M:
-        raise ParameterError(f"need N < M, got N={params.N}, M={params.M}")
+    params._check_n_below_m()
     ratio = params.N / params.M
     return 2.0 / math.pi * ratio ** (2 * order) / (ratio**-2 - 1.0)
 
@@ -109,8 +105,7 @@ def certified_order(params: ProlateParams, epsilon: float) -> int:
     note this is always at least the value of :func:`truncation_order`.
     """
     epsilon = _check_epsilon(epsilon)
-    if params.N >= params.M:
-        raise ParameterError(f"need N < M, got N={params.N}, M={params.M}")
+    params._check_n_below_m()
     ratio = params.M / params.N
     arg = math.pi / 32.0 * (ratio**2 - 1.0) * epsilon
     order = math.ceil(max(-math.log(arg) / (2.0 * math.log(ratio)), 0.0))
@@ -123,7 +118,8 @@ def certified_order(params: ProlateParams, epsilon: float) -> int:
 class LowRankParts:
     """Truncated-series split of (periodic - sinc) prolate difference.
 
-    ``lowrank`` holds the first ``order`` series terms entrywise; it equals
+    ``lowrank`` holds the first ``order`` series terms entrywise, the
+    Toeplitz matrix of ``symbol``; it equals
     sin_factor @ coeff @ cos_factor.T - cos_factor @ coeff @ sin_factor.T
     exactly, so its rank is at most 4*order.  ``tail_bound`` certifies the
     maximum absolute row sum of what was dropped, and ``entry_bound`` is
@@ -134,6 +130,7 @@ class LowRankParts:
     coeff: np.ndarray = field(repr=False)
     sin_factor: np.ndarray = field(repr=False)
     cos_factor: np.ndarray = field(repr=False)
+    symbol: np.ndarray = field(repr=False)
     lowrank: np.ndarray = field(repr=False)
     tail_bound: float
     entry_bound: float
@@ -143,6 +140,21 @@ class LowRankParts:
         """Assemble the factored form; matches ``lowrank`` to ~1e-13."""
         u, v, d = self.sin_factor, self.cos_factor, self.coeff
         return u @ d @ v.T - v @ d @ u.T
+
+
+def _split_plan(params: ProlateParams, epsilon: float, order) -> tuple[int, float]:
+    """The order (``order``, or the certified one) and its tail bound,
+    validated before any eta is evaluated."""
+    if order is None:
+        order = certified_order(params, epsilon)
+    order = _check_integer(order, "order")
+    bound = tail_bound_at(params, order)  # refuses N >= M and a negative order
+    if order > 100:  # eta_even stops at s = 200
+        raise ParameterError(
+            f"truncation order {order} at M/N = {params.M / params.N:.6g} exceeds"
+            " 100, the most series terms eta_even supplies"
+        )
+    return order, bound
 
 
 def lowrank_tail_split(
@@ -158,12 +170,7 @@ def lowrank_tail_split(
     cancellation of high-power monomials; the factors themselves are
     still returned for the algebraic identity check.
     """
-    if order is None:
-        order = certified_order(params, epsilon)
-    elif order < 0:
-        raise ParameterError(f"order must be non-negative, got {order}")
-    else:
-        order = int(order)
+    order, bound = _split_plan(params, epsilon, order)
     m, n = params.M, params.N
     coeff = np.zeros((2 * order, 2 * order))
     for r in range(1, order + 1):
@@ -177,14 +184,13 @@ def lowrank_tail_split(
     symbol = np.zeros(n)
     for r in range(1, order + 1):
         symbol += _tail_symbol(params, r, rows)
-    lowrank = SymbolMatrix(symbol).dense()
-    bound = tail_bound_at(params, order)
     return LowRankParts(
         order=order,
         coeff=coeff,
         sin_factor=sin_factor,
         cos_factor=cos_factor,
-        lowrank=lowrank,
+        symbol=symbol,
+        lowrank=SymbolMatrix(symbol).dense(),
         tail_bound=bound,
         entry_bound=bound / n,
         epsilon=float(epsilon),
@@ -222,19 +228,17 @@ def certify_lowrank_split(
 ) -> list[SplitCertificate]:
     """Split (periodic - sinc) at each eps and certify the split numerically.
 
-    The difference is built once; each eps gets :func:`lowrank_tail_split`
-    (at ``order`` if given) and the residual and rank measurements that
-    :class:`SplitCertificate` judges.
+    Every eps and order is checked before any work.  Each eps then gets
+    :func:`lowrank_tail_split` (at ``order`` if given) and the residual and
+    rank measurements that :class:`SplitCertificate` judges.
     """
-    if params.N >= params.M:
-        raise ParameterError(f"need N < M, got N={params.N}, M={params.M}")
-    difference = SymbolMatrix(
-        periodic_prolate(params).symbol - sinc_prolate(params.N, params.W).symbol
-    ).dense()
+    epsilons = [_check_epsilon(epsilon) for epsilon in epsilons]
+    orders = [_split_plan(params, epsilon, order)[0] for epsilon in epsilons]
+    diff = periodic_prolate(params).symbol - sinc_prolate(params.N, params.W).symbol
     certificates = []
-    for epsilon in epsilons:
-        parts = lowrank_tail_split(params, _check_epsilon(epsilon), order=order)
-        residual = np.abs(difference - parts.lowrank)
+    for epsilon, split_order in zip(epsilons, orders):
+        parts = lowrank_tail_split(params, epsilon, order=split_order)
+        residual = SymbolMatrix(np.abs(diff - parts.symbol)).dense()
         sigma = singular_values_via_gram(parts.lowrank)
         top = sigma[0] if sigma.size else 0.0
         certificates.append(
@@ -260,13 +264,14 @@ def projector_gap_rank(n: int, w: float, epsilon: float) -> tuple[int, float]:
     or below the cap.
     """
     epsilon = _check_epsilon(epsilon)
-    frame = partial_fourier(n, w)
-    projector = frame @ frame.conj().T
-    # the frequency grid is symmetric, so the projector is real analytically
-    if float(np.abs(projector.imag).max()) > 1e-12:
-        raise ParameterError("partial Fourier projector has a non-real part")
-    diff = sinc_prolate(n, w).dense() - projector.real
-    values = eigh_householder_ql(diff).values
+    sinc = sinc_prolate(n, w).symbol
+    # F F* over the 2k+1 lowest DFT frequencies, k = floor(nw), is the periodic
+    # prolate block with M = N = n, or the identity once 2k+1 = n
+    k = math.floor(n * float(w))
+    projector = np.eye(1, n)[0]
+    if 2 * k + 1 < n:
+        projector = periodic_prolate(ProlateParams(n, n, k)).symbol
+    values = eigh_householder_ql(SymbolMatrix(sinc - projector)).values
     count = int((np.abs(values) > epsilon).sum())
     cap = (4.0 / math.pi**2 * math.log(8.0 * n) + 6.0) * math.log(15.0 / epsilon)
     return count, cap

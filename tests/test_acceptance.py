@@ -194,7 +194,7 @@ def test_criterion_9_commuting_fit():
         params = pr.ProlateParams(M=m, N=n, K=k)
         dense = pr.periodic_prolate(params).dense()
         fit = pr.fit_commuting_tridiagonal(dense, params)
-        via_tri = pr.eigenvectors_via_tridiagonal(fit, dense)
+        via_tri = fit.tridiagonal
         lam = pr.eigh_householder_ql(dense).values
         gaps = np.full(n, np.inf)
         step = np.abs(np.diff(lam))

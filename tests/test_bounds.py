@@ -39,6 +39,12 @@ def test_bound_rejects_bad_arguments():
         pr.transition_bound(1024, 1024, 1e-3)
     with pytest.raises(pr.ParameterError):
         pr.transition_bound(2048, 1024, 1e-3)
+    for n, m in ((True, 2), (0, 2), (2, 8.0)):
+        with pytest.raises(pr.ParameterError):
+            pr.transition_bound(n, m, 1e-3)
+    assert pr.transition_bound(np.int64(256), np.int64(1024), 1e-3) == pr.transition_bound(
+        256, 1024, 1e-3
+    )
 
 
 def test_transition_width_counting():
@@ -226,7 +232,7 @@ def test_certify_dft_rejects_mismatched_singular_values(monkeypatch, capsys):
 @pytest.mark.xfail(
     strict=True,
     reason="GRAM_NOISE_FLOOR snaps sigma below ~3.2e-5 to zero, under the "
-    "level sqrt(eps) = 1e-6; ROADMAP item 1",
+    "level sqrt(eps) = 1e-6; ROADMAP item 3",
 )
 def test_certify_dft_width_matches_lapack_at_tiny_eps(capsys):
     # the printed width is 27; LAPACK's singular values give 30

@@ -183,10 +183,29 @@ def test_eps_below_the_spectrum_floor_exits_2(monkeypatch, capsys):
 
 
 def test_invalid_model_parameters_exit_2(capsys):
-    assert main(["eigs", "M=8", "N=4", "K=4"]) == 2  # 2K+1 >= M
-    assert main(["eigs", "M=8", "N=9", "K=1"]) == 2
-    assert main(["certify", "M=64", "p=5"]) == 2
-    capsys.readouterr()
+    for argv, message in (
+        (["eigs", "M=8", "N=4", "K=4"], "need 2K+1 < M, got 2K+1=9 >= M=8"),
+        (["eigs", "M=8", "N=9", "K=1"], "need N <= M, got N=9 > M=8"),
+        (["eigs", "M=64", "N=-1", "K=4"], "N must be positive, got -1"),
+        (["decompose", "M=64", "N=64", "K=5"], "need N < M, got N=64, M=64"),
+        (["certify", "M=64", "p=5"], "p=5 does not divide m=64"),
+        (["certify", "M=64", "p=0"], "divisor must be a positive integer, got 0"),
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_decompose_refuses_an_order_past_eta_before_any_work(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(prolate.lowrank, "eta_even", lambda s: calls.append(s))
+    # M/N = 1.001 certifies order 7718 at eps=1e-3; eta_even stops at 100 terms
+    assert main(["decompose", "M=1000", "N=999", "K=100", "eps=1e-3"]) == 2
+    assert main(["decompose", "M=1024", "N=256", "K=128", "order=101"]) == 2
+    err = capsys.readouterr().err
+    assert "error: truncation order 7718 at M/N = 1.001 exceeds 100" in err
+    assert "error: truncation order 101 at M/N = 4 exceeds 100" in err
+    assert calls == []
 
 
 def test_eigs_single_row(capsys):

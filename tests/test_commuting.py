@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import prolate as pr
-from prolate import commuting
 
 
 def _prolate(m, n, k):
@@ -106,9 +105,8 @@ def test_prolate_fit_verdict_fields():
     assert 0.999 <= fit.min_alignment <= 1.0 + 1e-12
     # the deviation is taken against a values-only direct solve, bit for bit
     direct = pr.eigh_householder_ql(dense)
-    via_tri = pr.eigenvectors_via_tridiagonal(fit, dense)
     mask = np.isfinite(fit.alignment)
-    assert fit.max_value_dev == np.abs(via_tri.values - direct.values)[mask].max()
+    assert fit.max_value_dev == np.abs(fit.tridiagonal.values - direct.values)[mask].max()
     assert fit.max_value_dev <= 1e-8
 
 
@@ -118,7 +116,7 @@ def test_failed_fits_compare_nothing():
     assert not fit.degenerate
     assert fit.commutator_norm > 1e-8
     assert not fit.passed
-    assert fit.alignment is None
+    assert fit.alignment is None and fit.tridiagonal is None
     assert (fit.compared, fit.max_value_dev, fit.min_alignment) == (0, 0.0, 1.0)
 
 
@@ -148,21 +146,14 @@ def test_tridiagonal_path_matches_direct_path():
 
 
 @pytest.mark.parametrize("m,n,k", [(256, 64, 31), (1024, 256, 128), (2048, 512, 255)])
-def test_tridiagonal_residual_within_gap_bound(monkeypatch, m, n, k):
+def test_tridiagonal_residual_within_gap_bound(m, n, k):
     # T's eigenvectors carry an error of about u * ||T||_2 / min-gap(T).
-    # The spectrum is kept from the fit's own comparison: at N=512 a second
-    # solve would cost seconds.
-    spectra = []
-    solve = commuting.eigenvectors_via_tridiagonal
-    monkeypatch.setattr(
-        commuting, "eigenvectors_via_tridiagonal",
-        lambda fit, b: spectra.append(solve(fit, b)) or spectra[-1],
-    )
+    # The spectrum is the one the fit compared: at N=512 a second solve
+    # would cost seconds.
     fit, _ = _fit(m, n, k)
     theta = np.linalg.eigvalsh(fit.dense())
     bound = np.finfo(float).eps * np.abs(theta).max() / np.diff(theta).min()
-    (spectrum,) = spectra
-    assert spectrum.residual <= bound
+    assert fit.tridiagonal.residual <= bound
 
 
 def test_eigenvectors_require_nondegenerate_fit():

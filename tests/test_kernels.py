@@ -250,6 +250,23 @@ def test_partial_fourier_rejects_bad_bandwidth():
             pr.partial_fourier(8, w)
 
 
+def test_builders_refuse_bool_and_accept_numpy_integers():
+    for call in (
+        lambda: pr.sinc_prolate(True, 0.25),
+        lambda: pr.dft_submatrix(True, True),
+        lambda: pr.dft_submatrix(8, True),
+        lambda: pr.partial_fourier(True, 0.3),
+        lambda: pr.ProlateParams(M=8, N=True, K=1),
+    ):
+        with pytest.raises(pr.ParameterError, match="integer, got True"):
+            call()
+    i = np.int64
+    assert np.array_equal(pr.sinc_prolate(i(6), 0.25).symbol, pr.sinc_prolate(6, 0.25).symbol)
+    assert np.array_equal(pr.dft_submatrix(i(8), i(2), 3, 5), pr.dft_submatrix(8, 2, 3, 5))
+    assert np.array_equal(pr.partial_fourier(i(16), 0.3), pr.partial_fourier(16, 0.3))
+    assert pr.ProlateParams(M=i(8), N=i(4), K=i(1)) == pr.ProlateParams(M=8, N=4, K=1)
+
+
 def test_public_surface():
     for name in pr.__all__:
         assert getattr(pr, name) is not None, name

@@ -205,6 +205,60 @@ def test_split_certificate_one_per_epsilon():
         pr.certify_lowrank_split(pr.ProlateParams(M=64, N=64, K=5), [1e-3])
 
 
+def test_split_checks_every_eps_and_order_before_any_work(monkeypatch):
+    calls = []
+    monkeypatch.setattr(pr.lowrank, "eta_even", lambda s: calls.append(s))
+    monkeypatch.setattr(pr.lowrank, "periodic_prolate", lambda p: calls.append(p))
+    near = pr.ProlateParams(M=1000, N=999, K=100)
+    with pytest.raises(pr.ParameterError, match="order 7718 at M/N = 1.001"):
+        pr.lowrank_tail_split(near, 1e-3)
+    with pytest.raises(pr.ParameterError, match="order 7718"):
+        pr.certify_lowrank_split(near, [1e-3])
+    with pytest.raises(pr.ParameterError, match="order 101 at M/N = 4 "):
+        pr.certify_lowrank_split(PARAMS, [1e-3], order=101)
+    with pytest.raises(pr.ParameterError, match="epsilon"):
+        pr.certify_lowrank_split(PARAMS, [1e-3, 0.6])
+    with pytest.raises(pr.ParameterError, match="need N < M"):
+        pr.lowrank_tail_split(pr.ProlateParams(M=64, N=64, K=5), 1e-3, order=2)
+    for order in (-1, 3.0, True):
+        with pytest.raises(pr.ParameterError, match="order must be"):
+            pr.lowrank_tail_split(PARAMS, 1e-3, order=order)
+    assert calls == []
+
+
+@pytest.mark.parametrize("params", [PARAMS, pr.ProlateParams(M=512, N=128, K=64)])
+def test_split_residual_from_symbols_matches_dense_bitwise(params):
+    difference = (
+        pr.periodic_prolate(params).symbol - pr.sinc_prolate(params.N, params.W).symbol
+    )
+    certs = pr.certify_lowrank_split(params, (1e-3, 1e-6, 1e-12))
+    for cert in certs:
+        parts = pr.lowrank_tail_split(params, cert.epsilon)
+        assert np.array_equal(parts.lowrank, pr.SymbolMatrix(parts.symbol).dense())
+        dense = np.abs(pr.SymbolMatrix(difference).dense() - parts.lowrank)
+        from_symbol = pr.SymbolMatrix(np.abs(difference - parts.symbol)).dense()
+        assert np.array_equal(from_symbol, dense)
+        assert cert.row_sum == float(dense.sum(axis=1).max())
+        assert cert.entry == float(dense.max())
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the entry check eps/(16N) is below the rounding of the measured "
+    "residual; ROADMAP item 7",
+)
+def test_split_verdict_follows_the_tail_bound_at_tiny_eps():
+    # at eps=1e-14 the tail bound and the row sum pass, but the largest
+    # residual entry, 1.3e-17, exceeds eps/(16N) = 2.4e-18
+    eps = 1e-14
+    try:
+        (cert,) = pr.certify_lowrank_split(PARAMS, [eps])
+    except pr.ParameterError:  # refusing an eps below a measured floor also mends it
+        return
+    assert cert.tail_bound <= eps / 16.0 and cert.row_sum <= eps / 16.0
+    assert cert.passed
+
+
 @pytest.mark.parametrize("eps", [1e-3, 1e-6])
 def test_combined_split_effective_rank(eps):
     # periodic block minus the partial Fourier projector: the number of
@@ -215,6 +269,19 @@ def test_combined_split_effective_rank(eps):
     values = pr.eigh_householder_ql(delta).values
     count = int((np.abs(values) > eps).sum())
     assert count <= pr.transition_bound(PARAMS.N, PARAMS.M, eps)
+
+
+@pytest.mark.parametrize("n,w", [(5, 0.45), (128, 257 / 2048), (1024, 0.2)])
+def test_partial_fourier_projector_is_the_square_dirichlet_block(n, w):
+    # P = F F* has the Dirichlet symbol of M = N = n, K = floor(nw); at
+    # 2K+1 = n (the first case) the frame spans C^n and P = I
+    frame = pr.partial_fourier(n, w)
+    k = (frame.shape[1] - 1) // 2
+    if frame.shape[1] < n:
+        block = pr.periodic_prolate(pr.ProlateParams(M=n, N=n, K=k)).dense()
+    else:
+        block = np.eye(n)
+    assert np.abs(frame @ frame.conj().T - block).max() <= 1e-13
 
 
 def test_projector_gap_rank_within_cap():
