@@ -37,8 +37,14 @@ TRACE_ROUNDING = 4.0 * 2.0**-52
 # Smallest eps a certificate of a computed spectrum accepts.  QL eigenvalues
 # carry an absolute error of a few u ||B||, so values truly below about
 # 1e-15, or that close to 1, come out as noise: at (256,64,31) and eps=1e-16
-# the QL width is 45 where 40-digit mpmath gives 27, and at N=2048 the noise
-# fails verdicts.  QL widths were exact at every eps >= 3e-14 up to N=4096.
+# the QL width is 35 where 40-digit mpmath gives 27, and at N=2048 the noise
+# fails verdicts.  Against LAPACK on the blocks (4N, N, N/2) and (2N, N, N/4),
+# N = 16..4096, QL widths agree at every eps >= 1e-13 but one, where an
+# eigenvalue lies within 1e-15 of the level and no double-precision solver
+# places it reliably: at (16384,4096,2048), eps=1e-13, lambda - eps is
+# +5.7e-16 by QL and -5.5e-16 by LAPACK.  Below 1e-13 such values appear
+# more often: at (256,64,32), eps=3e-14, 40-digit mpmath has lambda - eps =
+# +2.5e-16 and QL -5.7e-17, a width of 23 against 24.
 SPECTRUM_EPS_FLOOR = 1e-13
 
 

@@ -168,9 +168,11 @@ def dft_submatrix(
     p = _check_integer(p, "divisor", positive=True)
     if m % p != 0:
         raise ParameterError(f"p={p} does not divide m={m}")
+    row_offset = _check_integer(row_offset, "row offset")
+    col_offset = _check_integer(col_offset, "column offset")
     length = m // p
-    rows = (int(row_offset) + np.arange(length)) % m
-    cols = (int(col_offset) + np.arange(length)) % m
+    rows = (row_offset + np.arange(length)) % m
+    cols = (col_offset + np.arange(length)) % m
     phase = np.outer(rows, cols) % m
     return np.exp(-2j * np.pi * phase / m) / math.sqrt(m)
 

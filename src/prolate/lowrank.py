@@ -144,7 +144,8 @@ class LowRankParts:
 
 def _split_plan(params: ProlateParams, epsilon: float, order) -> tuple[int, float]:
     """The order (``order``, or the certified one) and its tail bound,
-    validated before any eta is evaluated."""
+    validated, with eps, before any eta is evaluated."""
+    _check_epsilon(epsilon)
     if order is None:
         order = certified_order(params, epsilon)
     order = _check_integer(order, "order")

@@ -167,6 +167,19 @@ def test_widths_at_the_floor_match_mpmath():
     assert [r.width for r in reports] == widths
 
 
+def test_sweep_widths_match_lapack():
+    # the ratio-sweep blocks N = M/4, K = M/8: QL widths equal LAPACK's at
+    # the floor and at every default level
+    levels = [bounds.SPECTRUM_EPS_FLOOR, 1e-12, 1e-9, 1e-6, 1e-3]
+    for m in (64, 128, 256, 512, 1024, 2048, 4096):
+        params = pr.ProlateParams(M=m, N=m // 4, K=m // 8)
+        reports = pr.certify_spectrum_clustering(params, levels)
+        lam = np.linalg.eigvalsh(pr.periodic_prolate(params).dense())
+        assert [r.width for r in reports] == [
+            pr.transition_width(lam, eps) for eps in levels
+        ], m
+
+
 def test_certify_dft_unitary_case():
     (report,) = pr.certify_dft_submatrix(8, 1, [1e-3])
     assert report.width == 0
@@ -200,6 +213,17 @@ def test_certify_dft_rejects_bad_divisor():
         pr.certify_dft_submatrix(64, 5, [1e-3])
     with pytest.raises(pr.ParameterError):
         pr.certify_dft_submatrix(64, 4, [0.9])
+
+
+def test_certify_dft_refuses_non_integer_offsets(monkeypatch):
+    grams = _spy(monkeypatch, "singular_values_via_gram")
+    for offsets in ((1.7, 0), (0, True)):
+        with pytest.raises(pr.ParameterError, match="offset must be an integer"):
+            pr.certify_dft_submatrix(8, 2, [1e-3], *offsets)
+    assert grams == []
+    i = np.int64
+    (report,) = pr.certify_dft_submatrix(i(8), i(2), [1e-3], i(-3), i(1))
+    assert report.submatrix == bounds.SubmatrixSpec(8, 2, -3, 1)
 
 
 def test_certify_dft_reuses_singular_values(monkeypatch):

@@ -287,6 +287,41 @@ def test_singular_values_real_gram_matches_complex_embedding():
         assert _rank(real) == _rank(cast)
 
 
+def test_symmetric_input_takes_absolute_eigenvalues(monkeypatch):
+    # a real symmetric F is solved itself, not squared: sigma = |lambda|,
+    # with lambda^2 snapped at the Gram route's noise floor so that rank
+    # counts stay those of F^T F; a Toeplitz F splits by parity
+    parts = pr.lowrank_tail_split(pr.ProlateParams(M=1024, N=256, K=128), 1e-12)
+    rng = np.random.default_rng(37)
+    solved = []
+    original = es.eigh_householder_ql
+
+    def spy(a, *args, **kwargs):
+        solved.append(np.array(a, copy=True))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(es, "eigh_householder_ql", spy)
+    for f in (parts.lowrank, _random_symmetric(rng, 30)):
+        sigma = pr.singular_values_via_gram(f)
+        assert np.array_equal(solved.pop(), f)
+        lam = original(f).values
+        assert np.array_equal(sigma, sqrt_clamped(np.sort(lam * lam)[::-1]))
+        assert np.array_equal(sigma[sigma > 0.0], np.sort(np.abs(lam))[::-1][: _rank(sigma)])
+        gram = sqrt_clamped(original(f.T @ f).values)
+        assert _rank(sigma) == _rank(gram)
+        lapack = np.linalg.svd(f, compute_uv=False)
+        kept = sigma > 0.0
+        assert np.abs(sigma - lapack)[kept].max() <= 1e-13 * sigma[0]
+        assert lapack[~kept].max(initial=0.0) <= 1.01 * math.sqrt(GRAM_NOISE_FLOOR) * sigma[0]
+    assert es._parity_blocks(parts.lowrank) is not None
+    # square but not symmetric, and symmetric only to rounding: the Gram
+    f = rng.standard_normal((7, 7))
+    for g in (f, f + f.T + np.triu(np.full((7, 7), 1e-15), 1)):
+        sigma = pr.singular_values_via_gram(g)
+        assert np.array_equal(solved.pop(), g.T @ g) and not solved
+        assert np.abs(sigma - np.linalg.svd(g, compute_uv=False)).max() <= 1e-12
+
+
 def _dirichlet_block(m, p, length):
     # periodic prolate symbol at bandwidth ratio 1/(2p), which has no
     # integer half-bandwidth when m/p is even
@@ -386,13 +421,17 @@ def _householder_tridiag_unblocked(a, want_q):
 
 
 def _ql_implicit_scalar(d, e, z, want_z, budget):
+    # the kernel's deflation level, from the same arrays in the same order
     n = d.shape[0]
+    tol = es.UNIT_ROUNDOFF * (
+        float(np.abs(d).max(initial=0.0))
+        + 2.0 * float(np.abs(e[: n - 1]).max(initial=0.0))
+    )
     for l in range(n):
         while True:
             m = l
             while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) + dd == dd:
+                if abs(e[m]) <= tol:
                     break
                 m += 1
             if m == l:
@@ -673,6 +712,33 @@ def test_values_only_ql_matches_scalar_reference_bitwise():
         assert got.iterations == want.iterations, label
         with_vectors = pr.eigh_householder_ql(a, want_vectors=True)
         assert np.array_equal(got.values, with_vectors.values), label
+
+
+def _clustered_inputs():
+    yield "prolate-3072-768-384", pr.periodic_prolate(
+        pr.ProlateParams(M=3072, N=768, K=384)
+    ).dense()
+    yield "sinc-512-0.25", pr.sinc_prolate(512, 0.25).dense()
+    f = pr.dft_submatrix(1024, 4)
+    yield "dft-1024-4-embedding", es.hermitian_embedding(f.conj().T @ f)
+
+
+def test_ql_values_match_lapack_on_clustered_spectra():
+    # QL deflates at u (max |d| + 2 max |e|), which moves no value by more
+    # than that level (Weyl); most of these spectra sit at 0 and 1
+    for label, a in _clustered_inputs():
+        got = pr.eigh_householder_ql(a).values
+        want = np.linalg.eigvalsh(a)[::-1]
+        assert np.abs(got - want).max() <= 1e-14, label
+
+
+def test_ql_step_counts_on_prolate_blocks():
+    # values-only step counts are deterministic: 465 and 134 with the
+    # deflation level u (max |d| + 2 max |e|), 1831 and 632 with the
+    # relative test |e_m| + |d_m| + |d_m+1| == |d_m| + |d_m+1|
+    for (m, n, k), most in (((3072, 768, 384), 700), ((1024, 256, 128), 250)):
+        block = pr.periodic_prolate(pr.ProlateParams(M=m, N=n, K=k))
+        assert pr.eigh_householder_ql(block).iterations <= most, (m, n, k)
 
 
 def test_iteration_counts_recorded_within_budget():

@@ -224,6 +224,15 @@ def test_dft_submatrix_rejects_non_divisor():
         pr.dft_submatrix(8, 0)
 
 
+def test_dft_submatrix_refuses_non_integer_offsets():
+    # int() would read 1.7 and True both as offset 1
+    for offsets in ((1.7, 0), (0, 2.0), (True, 0), (0, True)):
+        with pytest.raises(pr.ParameterError, match="offset must be an integer"):
+            pr.dft_submatrix(8, 2, *offsets)
+    i = np.int64
+    assert np.array_equal(pr.dft_submatrix(8, 2, i(-3), i(9)), pr.dft_submatrix(8, 2, 5, 1))
+
+
 def test_partial_fourier_shape_and_columns():
     frame = pr.partial_fourier(8, 0.25)
     assert frame.shape == (8, 5)

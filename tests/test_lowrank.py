@@ -226,6 +226,15 @@ def test_split_checks_every_eps_and_order_before_any_work(monkeypatch):
     assert calls == []
 
 
+def test_split_with_explicit_order_checks_eps():
+    # eps is checked even when the order is given, not only when certified
+    small = pr.ProlateParams(M=64, N=16, K=7)
+    for eps in (5.0, 0.5, 0.0, -1e-3):
+        with pytest.raises(pr.ParameterError, match="epsilon must lie in"):
+            pr.lowrank_tail_split(small, eps, order=2)
+    assert pr.lowrank_tail_split(small, 1e-3, order=2).epsilon == 1e-3
+
+
 @pytest.mark.parametrize("params", [PARAMS, pr.ProlateParams(M=512, N=128, K=64)])
 def test_split_residual_from_symbols_matches_dense_bitwise(params):
     difference = (
