@@ -60,8 +60,8 @@ def _check_spectrum_epsilon(epsilon: float) -> float:
     epsilon = _check_epsilon(epsilon)
     if epsilon < SPECTRUM_EPS_FLOOR:
         raise ParameterError(
-            f"epsilon must be >= {SPECTRUM_EPS_FLOOR:g} to certify a computed"
-            f" spectrum, got {epsilon:g}"
+            f"certificates need eps >= {SPECTRUM_EPS_FLOOR:g}, the smallest level"
+            f" a computed spectrum resolves, got {epsilon:g}"
         )
     return epsilon
 

@@ -16,7 +16,8 @@ byte-identical files.  When a file is written for eigs, dft-sub, or
 transition, a small gnuplot script is emitted alongside it.
 
 Exit codes: 0 success, 1 certification failure, 2 usage or parameter
-error, 3 numerical failure (solver non-convergence).
+error (the library, not the parser, judges eps, order and the model) or an
+unwritable out=PATH, 3 numerical failure (solver non-convergence).
 """
 from __future__ import annotations
 
@@ -27,16 +28,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .bounds import (
-    SPECTRUM_EPS_FLOOR,
-    certify_dft_submatrix,
-    certify_spectrum_clustering,
+    SPECTRUM_EPS_FLOOR, certify_dft_submatrix, certify_spectrum_clustering
 )
 from .commuting import fit_commuting_tridiagonal
-from .eigensolve import (
-    EigensolveError,
-    eigh_householder_ql,
-    singular_values_via_gram,
-)
+from .eigensolve import EigensolveError, eigh_householder_ql, singular_values_via_gram
 from .kernels import ParameterError, ProlateParams, dft_submatrix, periodic_prolate
 from .lowrank import certify_lowrank_split
 
@@ -82,7 +77,10 @@ common keys: out=PATH (default stdout), format=csv|json
 eps accepts a comma-separated list in (0, 1/2); default {eps}
   transition and certify need eps >= {floor:g} (solver resolution)
 exit codes: 0 ok, 1 certification failed, 2 usage error, 3 numerical error
-""".format(eps="1e-3,1e-6,1e-9,1e-12", floor=SPECTRUM_EPS_FLOOR)
+""".format(
+    eps=",".join(f"{e:.0e}".replace("e-0", "e-") for e in DEFAULT_EPSILONS),
+    floor=SPECTRUM_EPS_FLOOR,
+)
 
 
 class UsageError(Exception):
@@ -106,6 +104,10 @@ class RunConfig:
     output_path: Path | None = None
     format: str = "csv"
 
+    @property
+    def params(self) -> ProlateParams:
+        return ProlateParams(M=self.m, N=self.n, K=self.k)
+
 
 def _fmt(x: float) -> str:
     """Fixed float rendering: 17 significant digits, lowercase scientific."""
@@ -127,21 +129,19 @@ def _parse_int(key: str, text: str) -> int:
 
 
 def _parse_eps_list(text: str) -> tuple[float, ...]:
+    """Floats only: the library refuses an eps outside its domain."""
     values = []
     for piece in text.split(","):
         try:
-            value = float(piece)
+            values.append(float(piece))
         except ValueError:
             raise UsageError(f"bad epsilon value {piece!r}") from None
-        if not 0.0 < value < 0.5:
-            raise UsageError(f"epsilon must lie in (0, 1/2), got {piece}")
-        values.append(value)
-    if not values:
-        raise UsageError("eps list is empty")
     return tuple(values)
 
 
-_COMMANDS = ("eigs", "transition", "certify", "dft-sub", "decompose", "commute")
+# Each integer key and the RunConfig field it fills.
+_INT_FIELDS = {"M": "m", "N": "n", "K": "k", "p": "p", "row": "row_offset",
+               "col": "col_offset", "order": "order"}
 _KEYS = {
     "eigs": {"M", "N", "K", "out", "format"},
     "transition": {"M", "N", "K", "eps", "out", "format"},
@@ -158,7 +158,7 @@ def parse_args(argv: list[str]) -> RunConfig:
     command = argv[0]
     if command in ("-h", "--help", "help"):
         raise UsageError("")
-    if command not in _COMMANDS:
+    if command not in _KEYS:
         raise UsageError(f"unknown command {command!r}")
     config = RunConfig(command=command)
     kv: dict[str, str] = {}
@@ -186,16 +186,6 @@ def parse_args(argv: list[str]) -> RunConfig:
         config.format = fmt
     if "eps" in kv:
         config.epsilons = _parse_eps_list(kv.pop("eps"))
-        lowest = min(config.epsilons)
-        if command in ("transition", "certify") and lowest < SPECTRUM_EPS_FLOOR:
-            raise UsageError(
-                f"{command} needs eps >= {SPECTRUM_EPS_FLOOR:g}, the smallest"
-                f" level a computed spectrum resolves, got {lowest:g}"
-            )
-    if "order" in kv:
-        config.order = _parse_int("order", kv.pop("order"))
-        if config.order < 0:
-            raise UsageError("order must be >= 0")
 
     if config.sweep is not None:
         text = kv.pop("M", None)
@@ -217,33 +207,20 @@ def parse_args(argv: list[str]) -> RunConfig:
             raise UsageError(f"unexpected keys for ratio-sweep: {sorted(kv)}")
         return config
 
-    if command == "certify" and "p" not in kv and kv.keys() & {"row", "col"}:
-        raise UsageError("certify takes row= and col= only with p=")
-    if "M" in kv:
-        config.m = _parse_int("M", kv.pop("M"))
-    if "N" in kv:
-        config.n = _parse_int("N", kv.pop("N"))
-    if "K" in kv:
-        config.k = _parse_int("K", kv.pop("K"))
-    if "p" in kv:
-        config.p = _parse_int("p", kv.pop("p"))
-    if "row" in kv:
-        config.row_offset = _parse_int("row", kv.pop("row"))
-    if "col" in kv:
-        config.col_offset = _parse_int("col", kv.pop("col"))
-
-    needs_params = command in ("eigs", "decompose", "commute") or (
-        command in ("transition", "certify") and config.p is None
-    )
-    if needs_params:
-        for key, value in (("M", config.m), ("N", config.n), ("K", config.k)):
-            if value is None:
-                raise UsageError(f"{command} requires {key}=")
-    if command == "dft-sub" or (command == "certify" and config.p is not None):
-        if config.m is None or config.p is None:
+    for key, name in _INT_FIELDS.items():
+        if key in kv:
+            setattr(config, name, _parse_int(key, kv[key]))
+    if command == "dft-sub" or "p" in kv:  # the DFT-block form
+        if not kv.keys() >= {"M", "p"}:
             raise UsageError(f"{command} requires M= and p=")
-        if config.n is not None or config.k is not None:
+        if kv.keys() & {"N", "K"}:
             raise UsageError("certify takes either M,N,K or M,p[,row,col]")
+    else:
+        if kv.keys() & {"row", "col"}:
+            raise UsageError("certify takes row= and col= only with p=")
+        for key in ("M", "N", "K"):
+            if key not in kv:
+                raise UsageError(f"{command} requires {key}=")
     _check_size(config)
     return config
 
@@ -277,44 +254,24 @@ def _json_doc(command: str, comments: list[str], header: str, rows) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _render(config: RunConfig, comments, header, rows) -> str:
-    if config.format == "json":
-        return _json_doc(config.command, comments, header, rows)
-    return _csv(comments, header, rows)
-
-
-_GNUPLOT = {
-    "eigs": (
-        'set datafile separator ","\n'
-        "set xlabel 'index'\nset ylabel 'eigenvalue'\n"
-        "plot '{path}' skip {skip} using 1:2 with points pt 7 ps 0.5 title 'spectrum'\n"
-    ),
-    "dft-sub": (
-        'set datafile separator ","\n'
-        "set xlabel 'index'\nset ylabel 'singular value'\n"
-        "plot '{path}' skip {skip} using 1:2 with points pt 7 ps 0.5 title 'singular values'\n"
-    ),
-    "transition": (
-        'set datafile separator ","\n'
-        "set logscale x 2\nset xlabel 'M'\nset ylabel 'transition width'\n"
-        "plot '{path}' skip {skip} using 1:5 with linespoints title 'width'\n"
-    ),
+# The gnuplot script written next to a CSV file, and each command's row.
+_GNUPLOT = (
+    'set datafile separator ","\n'
+    "{logx}set xlabel '{x}'\nset ylabel '{y}'\n"
+    "plot '{path}' skip {skip} using {using} with {style} title '{title}'\n"
+)
+_PLOTS = {
+    "eigs": dict(x="index", y="eigenvalue", using="1:2", style="points pt 7 ps 0.5",
+                 title="spectrum", logx=""),
+    "dft-sub": dict(x="index", y="singular value", using="1:2",
+                    style="points pt 7 ps 0.5", title="singular values", logx=""),
+    "transition": dict(x="M", y="transition width", using="1:5", style="linespoints",
+                       title="width", logx="set logscale x 2\n"),
 }
 
 
-def _sidecar(config: RunConfig, comments: list[str]) -> tuple[Path, str] | None:
-    if config.output_path is None or config.format != "csv":
-        return None
-    template = _GNUPLOT.get(config.command)
-    if template is None:
-        return None
-    path = Path(str(config.output_path) + ".gp")
-    text = template.format(path=config.output_path.name, skip=len(comments) + 1)
-    return path, text
-
-
 def _run_eigs(config: RunConfig):
-    params = ProlateParams(M=config.m, N=config.n, K=config.k)
+    params = config.params
     spectrum = eigh_householder_ql(periodic_prolate(params))
     comments = [
         "eigenvalues of the N x N periodic prolate block, descending",
@@ -344,7 +301,7 @@ def _mnk_cells(params: ProlateParams) -> list[str]:
 
 def _run_transition(config: RunConfig):
     if config.sweep is None:
-        grid = [ProlateParams(M=config.m, N=config.n, K=config.k)]
+        grid = [config.params]
         comments = ["transition width against twice the analytic half-width cap"]
     else:
         lo, hi = config.sweep
@@ -386,7 +343,7 @@ def _report_cells(report) -> list[str]:
 
 def _run_certify(config: RunConfig):
     if config.p is None:
-        params = ProlateParams(M=config.m, N=config.n, K=config.k)
+        params = config.params
         reports = certify_spectrum_clustering(params, config.epsilons)
         lead = _mnk_cells(params)
         comments = [
@@ -410,7 +367,7 @@ def _run_certify(config: RunConfig):
 
 
 def _run_decompose(config: RunConfig):
-    params = ProlateParams(M=config.m, N=config.n, K=config.k)
+    params = config.params
     certificates = certify_lowrank_split(params, config.epsilons, order=config.order)
     rows = [
         [
@@ -432,7 +389,7 @@ def _run_decompose(config: RunConfig):
 
 
 def _run_commute(config: RunConfig):
-    params = ProlateParams(M=config.m, N=config.n, K=config.k)
+    params = config.params
     fit = fit_commuting_tridiagonal(periodic_prolate(params), params)
     comments = [
         "commuting symmetric tridiagonal from its closed form",
@@ -467,21 +424,32 @@ _RUNNERS = {
 def run(config: RunConfig) -> int:
     """Execute a parsed configuration; writes output and returns the exit code."""
     comments, header, rows, passed = _RUNNERS[config.command](config)
-    text = _render(config, comments, header, rows)
-    if config.output_path is None:
-        sys.stdout.write(text)
+    code = EXIT_OK if passed else EXIT_CERTIFICATION
+    if config.format == "json":
+        text = _json_doc(config.command, comments, header, rows)
     else:
-        config.output_path.write_text(text)
-        sidecar = _sidecar(config, comments)
-        if sidecar is not None:
-            sidecar[0].write_text(sidecar[1])
-    return EXIT_OK if passed else EXIT_CERTIFICATION
+        text = _csv(comments, header, rows)
+    out = config.output_path
+    if out is None:
+        sys.stdout.write(text)
+        return code
+    files = [(out, text)]
+    if config.format == "csv" and config.command in _PLOTS:
+        plot = _GNUPLOT.format(path=out.name, skip=len(comments) + 1,
+                               **_PLOTS[config.command])
+        files.append((Path(f"{out}.gp"), plot))
+    for path, body in files:
+        try:
+            path.write_text(body)
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write {path}: {exc.strerror}\n")
+            return EXIT_USAGE
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv)
     try:
-        config = parse_args(args)
+        config = parse_args(list(sys.argv[1:] if argv is None else argv))
     except UsageError as exc:
         sys.stderr.write(USAGE)
         if str(exc):

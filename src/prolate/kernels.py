@@ -155,6 +155,10 @@ def sinc_prolate(n: int, w: float) -> SymbolMatrix:
     return SymbolMatrix(symbol)
 
 
+# Largest DFT size whose phases j*k, 0 <= j, k < m, fit in int64.
+_MAX_PHASE_M = math.isqrt(2**63 - 1)
+
+
 def dft_submatrix(
     m: int, p: int, row_offset: int = 0, col_offset: int = 0
 ) -> np.ndarray:
@@ -163,13 +167,17 @@ def dft_submatrix(
     Keeps rows row_offset..row_offset+L-1 and columns col_offset..
     col_offset+L-1 with indices taken mod m, so consecutive blocks wrap
     around the period.  Only the block is built, from phases j*k mod m.
+    The offsets are reduced mod m exactly, and m is at most
+    isqrt(2**63 - 1), so every index and phase j*k fits in int64.
     """
     m = _check_integer(m, "dimension", positive=True)
+    if m > _MAX_PHASE_M:
+        raise ParameterError(f"dimension must be <= {_MAX_PHASE_M}, got {m}")
     p = _check_integer(p, "divisor", positive=True)
     if m % p != 0:
         raise ParameterError(f"p={p} does not divide m={m}")
-    row_offset = _check_integer(row_offset, "row offset")
-    col_offset = _check_integer(col_offset, "column offset")
+    row_offset = _check_integer(row_offset, "row offset") % m
+    col_offset = _check_integer(col_offset, "column offset") % m
     length = m // p
     rows = (row_offset + np.arange(length)) % m
     cols = (col_offset + np.arange(length)) % m

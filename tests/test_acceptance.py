@@ -134,6 +134,15 @@ def test_criterion_5_gram_identity():
     _verdict("criterion 5", worst <= 1e-12, f"entrywise deviation {worst:.2e}")
 
 
+def _snapped_rank(lowrank):
+    """Singular values above RANK_CUT times the largest, by LAPACK's SVD, once
+    sigma^2 below GRAM_NOISE_FLOOR times the largest is snapped to zero."""
+    squares = np.linalg.svd(lowrank, compute_uv=False) ** 2
+    squares[squares < pr.eigensolve.GRAM_NOISE_FLOOR * squares[0]] = 0.0
+    sigma = np.sqrt(squares)
+    return int((sigma > pr.lowrank.RANK_CUT * sigma[0]).sum())
+
+
 def test_criterion_6_decomposition_certificates():
     difference = (
         pr.periodic_prolate(FIG1).dense() - pr.sinc_prolate(FIG1.N, FIG1.W).dense()
@@ -145,12 +154,15 @@ def test_criterion_6_decomposition_certificates():
         residual = difference - parts.lowrank
         row_sum = float(np.abs(residual).sum(axis=1).max())
         entry = float(np.abs(residual).max())
-        sigma = pr.singular_values_via_gram(parts.lowrank.astype(complex))
-        rank_ok = bool(np.all(sigma[4 * parts.order :] < 1e-10 * sigma[0]))
+        # the rank the certificate reports, against a LAPACK SVD count
+        (cert,) = pr.certify_lowrank_split(FIG1, [eps])
+        expected = _snapped_rank(parts.lowrank)
+        rank_ok = cert.rank == expected and cert.rank <= 4 * parts.order
         ok = ok and row_sum <= eps / 16 and entry <= eps / (16 * FIG1.N) and rank_ok
         details.append(
             f"eps={eps:g}: R={parts.order} rowsum={row_sum:.2e}<={eps / 16:.2e} "
-            f"entry={entry:.2e}<={eps / (16 * FIG1.N):.2e} rank_ok={rank_ok}"
+            f"entry={entry:.2e}<={eps / (16 * FIG1.N):.2e} "
+            f"rank={cert.rank} (SVD {expected})<={4 * parts.order}"
         )
     _verdict("criterion 6", ok, "; ".join(details))
 

@@ -1,5 +1,7 @@
 """CLI tests: parsing, schemas, exit codes, and byte determinism."""
+import errno
 import json
+import os
 import subprocess
 import sys
 
@@ -128,20 +130,28 @@ def test_parse_args_rejects_or_round_trips(command, pairs):
             assert getattr(config, _INT_FIELDS[key]) == int(value, 10)
 
 
+def _spy(monkeypatch, name, record=lambda *args: args):
+    """``record`` of every call to prolate.<name> made through any prolate module."""
+    original = getattr(prolate, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(record(*args))
+        return original(*args, **kwargs)
+
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("prolate") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, spy)
+    return calls
+
+
 def _count_solves(monkeypatch):
     """Sizes of every eigh_householder_ql call made through any prolate module."""
-    original = prolate.eigh_householder_ql
-    sizes = []
-
-    def counting(a, want_vectors=False):
-        sizes.append(a.n if isinstance(a, prolate.SymbolMatrix) else len(a))
-        return original(a, want_vectors=want_vectors)
-
-    for name, module in list(sys.modules.items()):
-        bound = getattr(module, "eigh_householder_ql", None)
-        if name.startswith("prolate") and bound is original:
-            monkeypatch.setattr(module, "eigh_householder_ql", counting)
-    return sizes
+    return _spy(
+        monkeypatch,
+        "eigh_householder_ql",
+        lambda a, *rest: a.n if isinstance(a, prolate.SymbolMatrix) else len(a),
+    )
 
 
 def test_commute_eigendecomposes_each_matrix_once(monkeypatch, capsys):
@@ -180,6 +190,82 @@ def test_eps_below_the_spectrum_floor_exits_2(monkeypatch, capsys):
     )
     config = parse_args(["decompose", "M=1024", "N=256", "K=128", "eps=1e-16"])
     assert config.epsilons == (1e-16,)
+
+
+_RANGE = "epsilon must lie in (0, 1/2), got {}"
+_FLOOR = (
+    f"certificates need eps >= {SPECTRUM_EPS_FLOOR:g}, the smallest level"
+    " a computed spectrum resolves, got {}"
+)
+_EPS_FORMS = (
+    ["transition", "M=256", "N=64", "K=31"],
+    ["transition", "ratio-sweep", "M=64..256"],
+    ["certify", "M=256", "N=64", "K=31"],
+    ["certify", "M=256", "p=4", "row=3", "col=7"],
+)
+
+
+def test_rules_left_to_the_library_exit_2_before_any_work(monkeypatch, capsys):
+    # the parser reads eps and order as numbers; the library judges them
+    solves = _count_solves(monkeypatch)
+    etas = _spy(monkeypatch, "eta_even")
+    blocks = _spy(monkeypatch, "dft_submatrix")
+    decompose = ["decompose", "M=256", "N=64", "K=31"]
+    cases = [
+        (form + [f"eps=1e-3,{eps}"], _RANGE.format(eps))
+        for form in _EPS_FORMS + (decompose,)
+        for eps in ("0.9", "nan")
+    ]
+    cases += [
+        (form + ["eps=1e-3,1e-16"], _FLOOR.format("1e-16")) for form in _EPS_FORMS
+    ]
+    cases.append((decompose + ["order=-1"], "order must be non-negative, got -1"))
+    for argv, message in cases:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n"), argv
+    assert (solves, etas, blocks) == ([], [], [])
+    # decompose keeps the whole domain (0, 1/2): eps=1e-16 parses and runs
+    # (its per-entry check fails on rounding there, ROADMAP item 7)
+    assert main(["decompose", "M=64", "N=16", "K=7", "eps=1e-16"]) != 2
+    rows = [line for line in capsys.readouterr().out.splitlines() if line[0] != "#"]
+    assert len(rows) == 2 and rows[1].startswith("14,")
+    assert etas and solves
+
+
+def test_dft_blocks_past_int64(monkeypatch, capsys):
+    # an offset past int64 names the same block as its residue mod M
+    columns = []
+    for row in (10**23, 10**23 % 64):
+        assert main(["dft-sub", "M=64", "p=4", f"row={row}", "col=-5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"row={row} col=-5" in lines[1]
+        columns.append([line.split(",")[1] for line in lines[3:]])
+    assert len(columns[0]) == 16 and columns[0] == columns[1]
+    # M past isqrt(2**63 - 1) would wrap the phases j*k: refused before any Gram
+    grams = _spy(monkeypatch, "singular_values_via_gram")
+    m, p = 3 * 2**31, 3 * 2**22
+    for argv in (["dft-sub", f"M={m}", f"p={p}"], ["certify", f"M={m}", f"p={p}"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: dimension must be <= 3037000499, got {m}\n"
+    assert grams == []
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.csv"
+    taken = tmp_path / "taken.csv"
+    (tmp_path / "taken.csv.gp").mkdir()
+    for out, failing, reason in (
+        (missing, missing, errno.ENOENT),
+        (tmp_path, tmp_path, errno.EISDIR),
+        (taken, tmp_path / "taken.csv.gp", errno.EISDIR),  # the sidecar fails
+    ):
+        assert main(["eigs", "M=64", "N=16", "K=7", f"out={out}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {failing}: {os.strerror(reason)}\n"
 
 
 def test_invalid_model_parameters_exit_2(capsys):

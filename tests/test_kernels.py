@@ -233,6 +233,23 @@ def test_dft_submatrix_refuses_non_integer_offsets():
     assert np.array_equal(pr.dft_submatrix(8, 2, i(-3), i(9)), pr.dft_submatrix(8, 2, 5, 1))
 
 
+def test_dft_submatrix_indices_stay_exact_past_int64():
+    # offsets near and past 2**63 are reduced mod m before numpy sees them
+    big = 2**63 - 5
+    for row, col in ((big, 0), (0, big), (big, big), (10**23, -(10**23))):
+        expected = pr.dft_submatrix(60, 4, row % 60, col % 60)
+        assert np.array_equal(pr.dft_submatrix(60, 4, row, col), expected)
+    # the largest m whose phases j*k fit in int64, and the sizes past it;
+    # at the top, row = col = m - 1 has phase (m - 1)^2 = 1 mod m
+    top = math.isqrt(2**63 - 1)
+    (entry,) = pr.dft_submatrix(top, top, top - 1, top - 1).ravel()
+    assert entry == np.exp(-2j * np.pi * 1 / top) / math.sqrt(top)
+    for m, p in ((top + 1, top + 1), (3 * 2**31, 3 * 2**21)):
+        message = f"dimension must be <= {top}, got {m}"
+        with pytest.raises(pr.ParameterError, match=message):
+            pr.dft_submatrix(m, p)
+
+
 def test_partial_fourier_shape_and_columns():
     frame = pr.partial_fourier(8, 0.25)
     assert frame.shape == (8, 5)

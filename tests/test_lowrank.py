@@ -161,11 +161,17 @@ def test_split_lowrank_matches_index_construction_bitwise():
 
 
 def test_split_rank_certificate():
+    # the certificate's rank (sigma = |lambda| of the symmetric low-rank part)
+    # against an independent count: LAPACK's SVD with the same noise snap
+    (cert,) = pr.certify_lowrank_split(PARAMS, [1e-6])
     parts = pr.lowrank_tail_split(PARAMS, 1e-6)
-    sigma = pr.singular_values_via_gram(parts.lowrank.astype(complex))
-    limit = 4 * parts.order
-    assert sigma[0] > 0.0
-    assert np.all(sigma[limit:] <= 1e-10 * sigma[0])
+    squares = np.linalg.svd(parts.lowrank, compute_uv=False) ** 2
+    assert squares[0] > 0.0
+    squares[squares < pr.eigensolve.GRAM_NOISE_FLOOR * squares[0]] = 0.0
+    sigma = np.sqrt(squares)
+    assert cert.order == parts.order
+    assert 0 < cert.rank <= 4 * parts.order
+    assert cert.rank == int((sigma > pr.lowrank.RANK_CUT * sigma[0]).sum())
 
 
 def test_split_with_undersized_order_violates_certificate():
