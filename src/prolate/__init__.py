@@ -1,10 +1,10 @@
 """Prolate matrices, their spectra, and clustering certificates.
 
 Construct time- and band-limiting operator matrices (periodic and
-sinc-kernel prolate matrices, DFT submatrices, partial Fourier frames),
-compute their full spectra with self-contained symmetric eigensolvers,
-and certify non-asymptotic eigenvalue/singular-value clustering bounds,
-including the constructive low-rank split behind them.
+sinc-kernel prolate matrices, DFT submatrices), compute their full
+spectra with self-contained symmetric eigensolvers, and certify
+non-asymptotic eigenvalue/singular-value clustering bounds, including
+the constructive low-rank split behind them.
 """
 from .bounds import (
     SubmatrixSpec,
@@ -33,8 +33,6 @@ from .kernels import (
     ProlateParams,
     SymbolMatrix,
     dft_submatrix,
-    dirichlet_entry,
-    partial_fourier,
     periodic_prolate,
     sinc_prolate,
 )
@@ -69,7 +67,6 @@ __all__ = [
     "certify_lowrank_split",
     "certify_spectrum_clustering",
     "dft_submatrix",
-    "dirichlet_entry",
     "eigenvectors_via_tridiagonal",
     "eigh_householder_ql",
     "eigh_jacobi",
@@ -77,7 +74,6 @@ __all__ = [
     "fit_commuting_tridiagonal",
     "hermitian_embedding",
     "lowrank_tail_split",
-    "partial_fourier",
     "periodic_prolate",
     "projector_gap_rank",
     "sinc_prolate",

@@ -42,19 +42,19 @@ EXIT_NUMERICAL = 3
 
 DEFAULT_EPSILONS = (1e-3, 1e-6, 1e-9, 1e-12)
 # Largest ratio-sweep end.  The last step diagonalises a dense N = M/4
-# block: `transition M=8192 N=2048 K=1024` takes 1.1 s and 78 MB peak on
+# block: `transition M=8192 N=2048 K=1024` takes 0.84 s and 77 MB peak on
 # two cores without numba.
 SWEEP_MAX_M = 8192
 # Largest dense matrix the eigensolver is given: N for the M= N= K=
 # commands, 2L = 2M/p for the Hermitian embedding behind certify M= p= and
 # dft-sub.  At the limit, best of 2 on two cores without numba, `eigs M=16384
-# N=4096 K=2048` takes 4.4 s and 222 MB peak (its block splits by parity),
-# `dft-sub M=4096 p=2` 15 s and 379 MB, and `decompose M=16384 N=4096 K=2048`
-# 18 s and 498 MB (3.7 s and 146 MB at N=2048).
+# N=4096 K=2048` takes 4.3 s and 222 MB peak (its block splits by parity),
+# `dft-sub M=4096 p=2` 19 s and 379 MB, and `decompose M=16384 N=4096 K=2048`
+# 22 s and 498 MB (4.7 s and 146 MB at N=2048).
 MAX_DENSE_DIM = 4096
 # Largest N for commute, which solves B and its tridiagonal with vectors.
-# At the limit `commute M=3008 N=752 K=375` takes 3.3 s and 88 MB peak
-# (two cores, no numba); the fit at N=768 takes 4.1 s in process.
+# At the limit `commute M=3008 N=752 K=375` takes 2.7 s and 88 MB peak
+# (two cores, no numba); the fit at N=768 takes 3.2 s in process.
 COMMUTE_MAX_N = 752
 
 USAGE = """\

@@ -1,8 +1,9 @@
 """Dense constructors for time- and band-limiting operator matrices.
 
 Builds the periodic (Dirichlet-kernel) prolate matrix, the classical
-sinc-kernel prolate matrix, cyclic square submatrices of the unitary DFT
-matrix, and partial Fourier frames of sampled complex exponentials.
+sinc-kernel prolate matrix and cyclic square submatrices of the unitary
+DFT matrix.  The projector F F* onto the 2k+1 lowest-frequency DFT
+vectors of length n is the square Dirichlet block M = N = n, K = k.
 All builders are pure functions of their parameters and return freshly
 allocated arrays that are safe to share read-only.
 """
@@ -42,7 +43,8 @@ class ProlateParams:
     M is the ambient (period) length, N the time-limit length, and K the
     half-bandwidth: the frequency window keeps 2K+1 DFT bins.  Requires
     N <= M and 2K+1 < M, which pins the bandwidth ratio W = (2K+1)/(2M)
-    strictly below 1/2.
+    strictly below 1/2, and M <= 2**53, so that M and every offset are
+    exact doubles.
     """
 
     M: int
@@ -54,6 +56,8 @@ class ProlateParams:
             _check_integer(getattr(self, name), name)
         if self.M < 1:
             raise ParameterError(f"M must be positive, got {self.M}")
+        if self.M > 2**53:
+            raise ParameterError(f"M must be <= 2**53, got {self.M}")
         if self.N < 1:
             raise ParameterError(f"N must be positive, got {self.N}")
         if self.K < 0:
@@ -112,31 +116,18 @@ class SymbolMatrix:
         return sliding_window_view(diagonals, s.size)[::-1].copy()
 
 
-def dirichlet_entry(params: ProlateParams, k: int) -> float:
-    """Dirichlet-kernel value sin(2*pi*W*k) / (M*sin(pi*k/M)) at offset k.
-
-    The formula is 0/0 on the diagonal; k = 0 returns the analytic limit
-    (2K+1)/M, which is the only removable point for |k| < M.
-    """
-    k = int(k)
-    if abs(k) >= params.M:
-        raise ParameterError(f"offset |k| must be < M={params.M}, got {k}")
-    if k == 0:
-        return (2 * params.K + 1) / params.M
-    return math.sin(2.0 * math.pi * params.W * k) / (
-        params.M * math.sin(math.pi * k / params.M)
-    )
-
-
 def periodic_prolate(params: ProlateParams) -> SymbolMatrix:
     """N x N leading principal block of the periodic prolate matrix.
 
     Equivalent to building the full M x M Dirichlet-kernel Toeplitz matrix
-    and dropping the last M-N rows and columns.
+    and dropping the last M-N rows and columns.  symbol[0] is the analytic
+    limit (2K+1)/M; symbol[d] = sin(2*pi*W*d) / (M*sin(pi*d/M)).
     """
-    symbol = np.array(
-        [dirichlet_entry(params, k) for k in range(params.N)], dtype=np.float64
-    )
+    m = params.M
+    d = np.arange(1, params.N, dtype=np.float64)
+    symbol = np.empty(params.N, dtype=np.float64)
+    symbol[0] = (2 * params.K + 1) / m
+    symbol[1:] = np.sin(2.0 * np.pi * params.W * d) / (m * np.sin(np.pi * d / m))
     return SymbolMatrix(symbol)
 
 
@@ -183,18 +174,3 @@ def dft_submatrix(
     cols = (col_offset + np.arange(length)) % m
     phase = np.outer(rows, cols) % m
     return np.exp(-2j * np.pi * phase / m) / math.sqrt(m)
-
-
-def partial_fourier(n: int, w: float) -> np.ndarray:
-    """n x (2*floor(n*w)+1) frame of the lowest-frequency DFT vectors.
-
-    Column j holds the unit-norm sampled exponential at frequency k/n with
-    k = -floor(n*w)..floor(n*w) in ascending order.  The columns are
-    orthonormal because the frequencies are distinct mod n.
-    """
-    n = _check_integer(n, "dimension", positive=True)
-    w = _check_bandwidth(w)
-    kmax = math.floor(n * w)  # n*w rounds below n/2, so 2*kmax+1 <= n
-    ks = np.arange(-kmax, kmax + 1)
-    t = np.arange(n)
-    return np.exp(2j * np.pi * np.outer(t, ks) / n) / math.sqrt(n)

@@ -65,17 +65,6 @@ def eta_even(s: int) -> float:
     return float(exact / (2 * math.factorial(s)))
 
 
-def _tail_symbol(params: ProlateParams, r: int, offsets: np.ndarray) -> np.ndarray:
-    m = params.M
-    return (
-        2.0
-        / (m * math.pi)
-        * eta_even(2 * r)
-        * (offsets / m) ** (2 * r - 1)
-        * np.sin(2.0 * math.pi * params.W * offsets)
-    )
-
-
 def truncation_order(params: ProlateParams, epsilon: float) -> int:
     """Ceiling of max(-log(8*pi*((M/N)^2-1)*eps) / (2 log(M/N)), 0)."""
     epsilon = _check_epsilon(epsilon)
@@ -173,18 +162,18 @@ def lowrank_tail_split(
     """
     order, bound = _split_plan(params, epsilon, order)
     m, n = params.M, params.N
+    rows = np.arange(n, dtype=np.float64)
+    oscillation = np.sin(2.0 * math.pi * params.W * rows)
     coeff = np.zeros((2 * order, 2 * order))
+    symbol = np.zeros(n)
     for r in range(1, order + 1):
         scale = 2.0 / (m * math.pi) * eta_even(2 * r)
         for p in range(2 * r):
             coeff[2 * r - 1 - p, p] = scale * (-1) ** p * math.comb(2 * r - 1, p)
-    rows = np.arange(n, dtype=np.float64)
+        symbol += scale * (rows / m) ** (2 * r - 1) * oscillation
     powers = (rows[:, None] / m) ** np.arange(2 * order)[None, :]
-    sin_factor = powers * np.sin(2.0 * math.pi * params.W * rows)[:, None]
+    sin_factor = powers * oscillation[:, None]
     cos_factor = powers * np.cos(2.0 * math.pi * params.W * rows)[:, None]
-    symbol = np.zeros(n)
-    for r in range(1, order + 1):
-        symbol += _tail_symbol(params, r, rows)
     return LowRankParts(
         order=order,
         coeff=coeff,

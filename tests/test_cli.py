@@ -276,10 +276,19 @@ def test_invalid_model_parameters_exit_2(capsys):
         (["decompose", "M=64", "N=64", "K=5"], "need N < M, got N=64, M=64"),
         (["certify", "M=64", "p=5"], "p=5 does not divide m=64"),
         (["certify", "M=64", "p=0"], "divisor must be a positive integer, got 0"),
+        *(
+            ([command, f"M={m}", "N=4", "K=1"], f"M must be <= 2**53, got {m}")
+            for command in ("certify", "transition", "decompose", "eigs", "commute")
+            for m in (10**160, 10**400)
+        ),
     ):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    # past 2**53 M or an offset may not be an exact double; 2**53 itself runs
+    for command in ("certify", "transition", "decompose", "eigs", "commute"):
+        assert main([command, f"M={2**53}", "N=4", "K=1"]) == 0, command
+        assert capsys.readouterr().err == ""
 
 
 def test_decompose_refuses_an_order_past_eta_before_any_work(monkeypatch, capsys):

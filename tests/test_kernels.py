@@ -23,24 +23,57 @@ def test_params_validation():
         pr.ProlateParams(M=0, N=1, K=0)
     with pytest.raises(pr.ParameterError):
         pr.ProlateParams(M=8.0, N=4, K=1)
+    with pytest.raises(pr.ParameterError, match="M must be <= 2\\*\\*53"):
+        pr.ProlateParams(M=2**53 + 1, N=4, K=1)  # no longer an exact double
+    assert pr.periodic_prolate(pr.ProlateParams(M=2**53, N=4, K=1)).symbol[0] == 3 / 2**53
     p = pr.ProlateParams(M=1024, N=256, K=128)
     assert p.W == 257 / 2048
     assert p.cluster_point == 64.25
 
 
+def _dirichlet(params, k):
+    """Scalar Dirichlet-kernel entry at offset k: the oracle for the symbol."""
+    if k == 0:
+        return (2 * params.K + 1) / params.M
+    return math.sin(2.0 * math.pi * params.W * k) / (
+        params.M * math.sin(math.pi * k / params.M)
+    )
+
+
+# Every block the benchmark, the ratio sweep, commute and the projector build.
+SYMBOL_BLOCKS = (
+    [(1024, 256, 128), (3072, 768, 384), (512, 128, 64), (192, 48, 23),
+     (256, 64, 31), (128, 32, 15), (64, 16, 7), (96, 24, 11)]
+    + [(m, m // 4, m // 8) for m in (64, 128, 256, 512, 1024, 2048, 4096, 8192)]
+    + [(256, 128, 63), (3008, 752, 375)]
+    + [(n, n, math.floor(n * w)) for n, w in
+       ((128, 257 / 2048), (256, 257 / 2048), (1024, 0.2), (8, 0.1))]
+)
+
+
+@pytest.mark.parametrize("m,n,k", SYMBOL_BLOCKS)
+def test_periodic_symbol_matches_scalar_formula_bitwise(m, n, k):
+    p = pr.ProlateParams(M=m, N=n, K=k)
+    oracle = np.array([_dirichlet(p, d) for d in range(n)])
+    assert np.array_equal(pr.periodic_prolate(p).symbol, oracle)
+
+
 def test_dirichlet_diagonal_limit():
     p = pr.ProlateParams(M=1024, N=256, K=128)
-    assert pr.dirichlet_entry(p, 0) == 257 / 1024
+    assert pr.periodic_prolate(p).symbol[0] == 257 / 1024
 
 
 def test_dirichlet_quarter_period():
-    p = pr.ProlateParams(M=4, N=2, K=1)
-    assert pr.dirichlet_entry(p, 2) == pytest.approx(-0.25, abs=1e-15)
+    p = pr.ProlateParams(M=4, N=3, K=1)
+    assert pr.periodic_prolate(p).symbol[2] == pytest.approx(-0.25, abs=1e-15)
+
+
+# The full period: offsets 0..1023 of the (1024, 256, 128) kernel.
+FULL_PERIOD = pr.ProlateParams(M=1024, N=1024, K=128)
 
 
 def test_dirichlet_extended_precision_value():
-    p = pr.ProlateParams(M=1024, N=256, K=128)
-    assert pr.dirichlet_entry(p, 1) == pytest.approx(
+    assert pr.periodic_prolate(FULL_PERIOD).symbol[1] == pytest.approx(
         DIRICHLET_M1024_K128_K1, abs=1e-15
     )
 
@@ -48,18 +81,11 @@ def test_dirichlet_extended_precision_value():
 def test_dirichlet_against_mpmath_sweep():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
-    p = pr.ProlateParams(M=1024, N=256, K=128)
+    symbol = pr.periodic_prolate(FULL_PERIOD).symbol
     w = mp.mpf(257) / 2048
     for k in (2, 3, 7, 100, 511, 1023, -5, -1023):
         exact = mp.sin(2 * mp.pi * w * k) / (1024 * mp.sin(mp.pi * mp.mpf(k) / 1024))
-        assert pr.dirichlet_entry(p, k) == pytest.approx(float(exact), rel=1e-13)
-
-
-def test_dirichlet_rejects_out_of_period():
-    p = pr.ProlateParams(M=16, N=8, K=3)
-    for k in (16, -16, 100):
-        with pytest.raises(pr.ParameterError):
-            pr.dirichlet_entry(p, k)
+        assert symbol[abs(k)] == pytest.approx(float(exact), rel=1e-13)
 
 
 def test_periodic_prolate_single_entry():
@@ -250,30 +276,12 @@ def test_dft_submatrix_indices_stay_exact_past_int64():
             pr.dft_submatrix(m, p)
 
 
-def test_partial_fourier_shape_and_columns():
-    frame = pr.partial_fourier(8, 0.25)
-    assert frame.shape == (8, 5)
-    for j, k in enumerate(range(-2, 3)):
-        col = np.exp(2j * np.pi * (k / 8) * np.arange(8)) / math.sqrt(8)
-        assert np.abs(frame[:, j] - col).max() <= 1e-15
-
-
 def test_partial_fourier_single_column():
-    frame = pr.partial_fourier(8, 0.1)  # floor(8*0.1) = 0
-    assert frame.shape == (8, 1)
-    assert np.abs(frame[:, 0] - 1 / math.sqrt(8)).max() <= 1e-15
-
-
-def test_partial_fourier_orthonormal_columns():
-    frame = pr.partial_fourier(16, 0.3)
-    gram = frame.conj().T @ frame
-    assert np.abs(gram - np.eye(frame.shape[1])).max() <= 1e-12
-
-
-def test_partial_fourier_rejects_bad_bandwidth():
-    for w in (0.0, 0.5, 1.2):
-        with pytest.raises(pr.ParameterError):
-            pr.partial_fourier(8, w)
+    # floor(8*0.1) = 0: the frame is the one constant column, its projector
+    # the constant block 1/8, which is the square Dirichlet block at K = 0
+    column = np.full((8, 1), 1 / math.sqrt(8))
+    block = pr.periodic_prolate(pr.ProlateParams(M=8, N=8, K=0)).dense()
+    assert np.abs(column @ column.T - block).max() <= 1e-15
 
 
 def test_builders_refuse_bool_and_accept_numpy_integers():
@@ -281,7 +289,6 @@ def test_builders_refuse_bool_and_accept_numpy_integers():
         lambda: pr.sinc_prolate(True, 0.25),
         lambda: pr.dft_submatrix(True, True),
         lambda: pr.dft_submatrix(8, True),
-        lambda: pr.partial_fourier(True, 0.3),
         lambda: pr.ProlateParams(M=8, N=True, K=1),
     ):
         with pytest.raises(pr.ParameterError, match="integer, got True"):
@@ -289,7 +296,6 @@ def test_builders_refuse_bool_and_accept_numpy_integers():
     i = np.int64
     assert np.array_equal(pr.sinc_prolate(i(6), 0.25).symbol, pr.sinc_prolate(6, 0.25).symbol)
     assert np.array_equal(pr.dft_submatrix(i(8), i(2), 3, 5), pr.dft_submatrix(8, 2, 3, 5))
-    assert np.array_equal(pr.partial_fourier(i(16), 0.3), pr.partial_fourier(16, 0.3))
     assert pr.ProlateParams(M=i(8), N=i(4), K=i(1)) == pr.ProlateParams(M=8, N=4, K=1)
 
 
@@ -297,6 +303,7 @@ def test_public_surface():
     for name in pr.__all__:
         assert getattr(pr, name) is not None, name
     removed = {"EtaZetaTable", "bandlimit_index_set", "dft_matrix",
-               "sampled_exponential", "tail_term"}
+               "dirichlet_entry", "partial_fourier", "sampled_exponential",
+               "tail_term"}
     assert not removed & set(pr.__all__)
     assert not any(hasattr(pr, name) for name in removed)

@@ -38,9 +38,22 @@ def test_eta_rejects_bad_arguments():
             pr.eta_even(s)
 
 
+def _tail_symbol(params, r, offsets):
+    """Series term t(r; k) at each offset k, in the library's operation order."""
+    m = params.M
+    scale = 2.0 / (m * math.pi) * pr.eta_even(2 * r)
+    return scale * (offsets / m) ** (2 * r - 1) * np.sin(2.0 * math.pi * params.W * offsets)
+
+
 def _tail_term(params, r, k):
     """Series term t(r; k) at one offset."""
-    return float(pr.lowrank._tail_symbol(params, r, np.array([float(k)]))[0])
+    return float(_tail_symbol(params, r, np.array([float(k)]))[0])
+
+
+def _fourier_frame(n, w):
+    """n x (2 floor(nw) + 1) frame of unit sampled exponentials at k/n, |k| <= nw."""
+    ks = np.arange(-math.floor(n * w), math.floor(n * w) + 1)
+    return np.exp(2j * np.pi * np.outer(np.arange(n), ks) / n) / math.sqrt(n)
 
 
 def test_tail_term_zero_offset():
@@ -155,9 +168,18 @@ def test_split_lowrank_matches_index_construction_bitwise():
         offsets = np.arange(-(n - 1), n, dtype=np.float64)
         symbol = np.zeros(offsets.size)
         for r in range(1, parts.order + 1):
-            symbol += pr.lowrank._tail_symbol(params, r, offsets)
+            symbol += _tail_symbol(params, r, offsets)
         i = np.arange(n)
         assert np.array_equal(parts.lowrank, symbol[(i[:, None] - i[None, :]) + (n - 1)])
+
+
+def test_split_evaluates_each_eta_once(monkeypatch):
+    calls = []
+    eta_even = pr.lowrank.eta_even
+    monkeypatch.setattr(pr.lowrank, "eta_even", lambda s: calls.append(s) or eta_even(s))
+    parts = pr.lowrank_tail_split(PARAMS, 1e-6)
+    assert parts.order == 5
+    assert calls == [2, 4, 6, 8, 10]
 
 
 def test_split_rank_certificate():
@@ -278,7 +300,7 @@ def test_split_verdict_follows_the_tail_bound_at_tiny_eps():
 def test_combined_split_effective_rank(eps):
     # periodic block minus the partial Fourier projector: the number of
     # eigenvalues escaping +-eps stays under the transition half-width cap
-    frame = pr.partial_fourier(PARAMS.N, PARAMS.W)
+    frame = _fourier_frame(PARAMS.N, PARAMS.W)
     projector = (frame @ frame.conj().T).real
     delta = pr.periodic_prolate(PARAMS).dense() - projector
     values = pr.eigh_householder_ql(delta).values
@@ -290,12 +312,13 @@ def test_combined_split_effective_rank(eps):
 def test_partial_fourier_projector_is_the_square_dirichlet_block(n, w):
     # P = F F* has the Dirichlet symbol of M = N = n, K = floor(nw); at
     # 2K+1 = n (the first case) the frame spans C^n and P = I
-    frame = pr.partial_fourier(n, w)
+    frame = _fourier_frame(n, w)
     k = (frame.shape[1] - 1) // 2
     if frame.shape[1] < n:
         block = pr.periodic_prolate(pr.ProlateParams(M=n, N=n, K=k)).dense()
     else:
         block = np.eye(n)
+    assert np.abs(frame.conj().T @ frame - np.eye(2 * k + 1)).max() <= 1e-12
     assert np.abs(frame @ frame.conj().T - block).max() <= 1e-13
 
 
@@ -316,8 +339,7 @@ def test_projector_gap_rank_monotone_in_epsilon():
 def test_projector_gap_rank_square_frame_edge():
     # frame spans all of C^n: the projector is the identity
     n, w = 5, 0.45
-    frame = pr.partial_fourier(n, w)
-    assert frame.shape == (5, 5)
+    assert 2 * math.floor(n * w) + 1 == n
     count, cap = pr.projector_gap_rank(n, w, 1e-3)
     lam = pr.eigh_householder_ql(pr.sinc_prolate(n, w).dense()).values
     assert count == int((np.abs(lam - 1.0) > 1e-3).sum())
