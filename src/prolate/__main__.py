@@ -1,4 +1,5 @@
-from .cli import main
+"""``python -m prolate``: the command line, ended by `prolate.cli.exit_main`."""
+from .cli import exit_main
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    exit_main()

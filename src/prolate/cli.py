@@ -18,22 +18,28 @@ transition, a small gnuplot script is emitted alongside it.
 Exit codes: 0 success, 1 certification failure, 2 usage or parameter
 error (the library, not the parser, judges eps, order and the model) or an
 unwritable out=PATH, 3 numerical failure (solver non-convergence).
+
+Each command loads only the layers it runs: ``decompose`` imports
+``lowrank``, ``commute`` imports ``commuting``, and ``json`` is imported
+only for ``format=json`` and the numerical-failure report.  Started as a
+program (``python -m prolate``, ``python -m prolate.cli`` or the
+``prolate`` script), the process ends through `exit_main`, which skips
+interpreter teardown; `main` itself returns the exit code.
 """
 from __future__ import annotations
 
-import json
+import os
 import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 from .bounds import (
     SPECTRUM_EPS_FLOOR, certify_dft_submatrix, certify_spectrum_clustering
 )
-from .commuting import fit_commuting_tridiagonal
 from .eigensolve import EigensolveError, eigh_householder_ql, singular_values_via_gram
 from .kernels import ParameterError, ProlateParams, dft_submatrix, periodic_prolate
-from .lowrank import certify_lowrank_split
 
 EXIT_OK = 0
 EXIT_CERTIFICATION = 1
@@ -120,12 +126,13 @@ def _fmt_bool(flag: bool) -> str:
 
 def _parse_int(key: str, text: str) -> int:
     """ASCII decimal digits with an optional leading minus, nothing else."""
-    if re.fullmatch(r"-?[0-9]+", text) is not None:
-        try:
-            return int(text)
-        except ValueError:  # more digits than int() converts
-            pass
-    raise UsageError(f"{key} must be a decimal integer, got {text!r}")
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise UsageError(f"{key} must be a decimal integer, got {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        digits = len(text.lstrip("-"))
+        raise UsageError(f"{key} is too large: {digits} decimal digits") from None
 
 
 def _parse_eps_list(text: str) -> tuple[float, ...]:
@@ -248,6 +255,8 @@ def _csv(comments: list[str], header: str, rows: list[list[str]]) -> str:
 
 
 def _json_doc(command: str, comments: list[str], header: str, rows) -> str:
+    import json
+
     columns = header.split(",")
     records = [dict(zip(columns, row)) for row in rows]
     doc = {"command": command, "notes": comments, "columns": columns, "rows": records}
@@ -367,6 +376,8 @@ def _run_certify(config: RunConfig):
 
 
 def _run_decompose(config: RunConfig):
+    from .lowrank import certify_lowrank_split
+
     params = config.params
     certificates = certify_lowrank_split(params, config.epsilons, order=config.order)
     rows = [
@@ -389,6 +400,8 @@ def _run_decompose(config: RunConfig):
 
 
 def _run_commute(config: RunConfig):
+    from .commuting import fit_commuting_tridiagonal
+
     params = config.params
     fit = fit_commuting_tridiagonal(periodic_prolate(params), params)
     comments = [
@@ -461,9 +474,33 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except EigensolveError as exc:
+        import json
+
         sys.stderr.write(json.dumps({"failure": "numerical", "detail": str(exc)}) + "\n")
         return EXIT_NUMERICAL
 
 
+def exit_main() -> NoReturn:
+    """Run `main` on ``sys.argv`` and end the process with its exit code.
+
+    The one exit of ``python -m prolate``, ``python -m prolate.cli`` and
+    the ``prolate`` console script.  Every output file is closed when
+    `main` returns, so once stdout and stderr are flushed the process ends
+    through ``os._exit``, skipping interpreter teardown (module and
+    object finalisation).  If a flush fails, it raises
+    ``SystemExit`` instead, so the interpreter reports the failure and sets
+    the exit status as it does without this shortcut.  Exceptions from
+    `main` propagate unchanged.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the descriptor was closed at start
+                stream.flush()
+    except OSError:
+        raise SystemExit(code) from None
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    exit_main()

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,17 @@ def test_parse_rejects_garbage():
         ["eigs", "M=" + "1" * 5000, "N=16", "K=7"],
     ):
         assert main(argv) == 2, argv
+
+
+@pytest.mark.parametrize("key, argv", [
+    ("M", ["eigs", "M={}", "N=4", "K=1"]),
+    ("row", ["dft-sub", "M=8", "p=2", "row={}"]),
+])
+def test_integer_past_the_digit_limit_is_too_large(key, argv, capsys):
+    # a valid decimal integer longer than int() converts: named, not echoed
+    assert main([arg.format("1" + "0" * 5000) for arg in argv]) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == f"error: {key} is too large: 5001 decimal digits"
 
 
 def test_ratio_sweep_end_is_capped():
@@ -454,3 +466,120 @@ def test_subprocess_determinism(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr.decode()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _capture(argv, tmp_path, launch, capsys):
+    """(exit code, stdout, stderr, written files) of one command, run by ``launch``.
+
+    ``{dir}`` in an argument becomes a folder of its own under ``tmp_path``,
+    so two launches write files of the same names to different places.
+    """
+    folder = tmp_path / launch
+    folder.mkdir()
+    args = [arg.format(dir=folder) for arg in argv]
+    if launch == "main":
+        got = (main(args), *capsys.readouterr())
+    else:
+        proc = subprocess.run([sys.executable, "-m", "prolate", *args],
+                              capture_output=True, text=True, timeout=120)
+        got = (proc.returncode, proc.stdout, proc.stderr)
+    return got, {path.name: path.read_bytes() for path in folder.iterdir()}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["certify", "M=64", "N=16", "K=7"], 0),
+    (["decompose", "M=1024", "N=256", "K=128", "eps=1e-16"], 1),
+    (["eigs", "M=64", "N=16"], 2),
+    (["eigs", "M=64", "N=16", "K=7", "out={dir}/eigs.csv"], 0),
+])
+def test_module_entry_point_matches_main(argv, code, tmp_path, capsys):
+    # `python -m prolate` is how the benchmark runs every operation
+    in_process = _capture(argv, tmp_path, "main", capsys)
+    assert _capture(argv, tmp_path, "module", capsys) == in_process
+    (got_code, out, _), files = in_process
+    assert got_code == code
+    if "out=" in argv[-1]:
+        assert out == "" and sorted(files) == ["eigs.csv", "eigs.csv.gp"]
+
+
+def test_every_entry_point_ends_through_exit_main():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"prolate": "prolate.cli:exit_main"}
+    import prolate.__main__
+
+    assert prolate.__main__.exit_main is prolate.cli.exit_main
+    # os._exit skips atexit handlers, so the marker shows a normal teardown
+    launches = (
+        "runpy.run_module('prolate', run_name='__main__')",
+        "runpy.run_module('prolate.cli', run_name='__main__')",
+        "from prolate.cli import exit_main; sys.exit(exit_main())",  # console script
+    )
+    for launch in launches:
+        script = (
+            "import atexit, runpy, sys\n"
+            "atexit.register(sys.stderr.write, 'teardown\\n')\n" + launch
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "certify", "M=64", "N=16", "K=7", "eps=1e-3"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), launch
+        assert proc.stdout.endswith(",true\n"), launch
+
+
+def test_failed_final_flush_reports_as_a_normal_exit():
+    # a buffered stdout whose reader is gone fails only at the last flush
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    results = []
+    for launch in ("import sys; from prolate.cli import main; sys.exit(main())",
+                   "from prolate.cli import exit_main; exit_main()"):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", launch, "certify", "M=64", "N=16", "K=7"],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write)
+        results.append((proc.returncode, proc.stderr))
+    assert results[1] == results[0]
+    assert results[1][0] == 120 and b"BrokenPipeError" in results[1][1]
+
+
+def test_closed_stdout_still_writes_out_path(tmp_path):
+    # descriptor 1 closed at start leaves sys.stdout None, which out=PATH never uses
+    out = tmp_path / "eigs.csv"
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "prolate",
+         "eigs", "M=64", "N=16", "K=7", f"out={out}"],
+        capture_output=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert out.read_text().startswith("# eigenvalues")
+
+
+def _modules_loaded_by(argv):
+    """Modules a fresh interpreter loads for one command, beyond its own start-up."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from prolate.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))\n"
+        "sys.exit(code)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+def test_commands_load_only_the_layers_they_run():
+    unused = {"prolate.lowrank", "prolate.commuting", "fractions", "json"}
+    loaded = _modules_loaded_by(["certify", "M=64", "N=16", "K=7"])
+    assert "prolate.bounds" in loaded
+    assert not loaded & unused
+    assert "prolate.lowrank" in _modules_loaded_by(["decompose", "M=64", "N=16", "K=7"])

@@ -302,6 +302,14 @@ def test_builders_refuse_bool_and_accept_numpy_integers():
 def test_public_surface():
     for name in pr.__all__:
         assert getattr(pr, name) is not None, name
+    # the lowrank and commuting names are bound lazily, yet listed as before
+    assert len(pr.__all__) == 31
+    assert set(pr.__all__) <= set(dir(pr))
+    namespace = {}
+    exec("from prolate import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(pr.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pr.no_such_name
     removed = {"EtaZetaTable", "bandlimit_index_set", "dft_matrix",
                "dirichlet_entry", "partial_fourier", "sampled_exponential",
                "tail_term"}
