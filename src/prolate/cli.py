@@ -16,8 +16,9 @@ byte-identical files.  When a file is written for eigs, dft-sub, or
 transition, a small gnuplot script is emitted alongside it.
 
 Exit codes: 0 success, 1 certification failure, 2 usage or parameter
-error (the library, not the parser, judges eps, order and the model) or an
-unwritable out=PATH, 3 numerical failure (solver non-convergence).
+error (the library, not the parser, judges eps, order and the model), an
+unwritable out=PATH or a failed write to stdout, 3 numerical failure
+(solver non-convergence).
 
 Each command loads only the layers it runs: ``decompose`` imports
 ``lowrank``, ``commute`` imports ``commuting``, and ``json`` is imported
@@ -54,13 +55,14 @@ SWEEP_MAX_M = 8192
 # Largest dense matrix the eigensolver is given: N for the M= N= K=
 # commands, 2L = 2M/p for the Hermitian embedding behind certify M= p= and
 # dft-sub.  At the limit, best of 2 on two cores without numba, `eigs M=16384
-# N=4096 K=2048` takes 4.3 s and 222 MB peak (its block splits by parity),
-# `dft-sub M=4096 p=2` 19 s and 379 MB, and `decompose M=16384 N=4096 K=2048`
-# 22 s and 498 MB (4.7 s and 146 MB at N=2048).
+# N=4096 K=2048` takes 3.0 s and 98 MB peak (it solves two parity blocks
+# built from the symbol, never the N x N matrix), `dft-sub M=4096 p=2` 13 s
+# and 291 MB, and `decompose M=16384 N=4096 K=2048` 13 s and 306 MB (2.6 s
+# and 99 MB at N=2048).
 MAX_DENSE_DIM = 4096
 # Largest N for commute, which solves B and its tridiagonal with vectors.
-# At the limit `commute M=3008 N=752 K=375` takes 2.7 s and 88 MB peak
-# (two cores, no numba); the fit at N=768 takes 3.2 s in process.
+# At the limit `commute M=3008 N=752 K=375` takes 2.5 s (median of 8) and
+# 79 MB peak (two cores, no numba); the fit at N=768 takes 3.2 s in process.
 COMMUTE_MAX_N = 752
 
 USAGE = """\
@@ -434,6 +436,17 @@ _RUNNERS = {
 }
 
 
+def _discard_stdout() -> None:
+    """Point descriptor 1 at the null device after a failed write, so that
+    the text still buffered in ``sys.stdout`` cannot fail a later flush."""
+    try:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+    except (OSError, ValueError):  # no descriptor behind sys.stdout
+        pass
+
+
 def run(config: RunConfig) -> int:
     """Execute a parsed configuration; writes output and returns the exit code."""
     comments, header, rows, passed = _RUNNERS[config.command](config)
@@ -444,7 +457,13 @@ def run(config: RunConfig) -> int:
         text = _csv(comments, header, rows)
     out = config.output_path
     if out is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            _discard_stdout()
+            sys.stderr.write(f"error: cannot write stdout: {exc.strerror}\n")
+            return EXIT_USAGE
         return code
     files = [(out, text)]
     if config.format == "csv" and config.command in _PLOTS:
@@ -484,13 +503,13 @@ def exit_main() -> NoReturn:
     """Run `main` on ``sys.argv`` and end the process with its exit code.
 
     The one exit of ``python -m prolate``, ``python -m prolate.cli`` and
-    the ``prolate`` console script.  Every output file is closed when
-    `main` returns, so once stdout and stderr are flushed the process ends
-    through ``os._exit``, skipping interpreter teardown (module and
-    object finalisation).  If a flush fails, it raises
-    ``SystemExit`` instead, so the interpreter reports the failure and sets
-    the exit status as it does without this shortcut.  Exceptions from
-    `main` propagate unchanged.
+    the ``prolate`` console script.  Every output file is closed, and the
+    report on stdout flushed, when `main` returns, so once stdout and
+    stderr are flushed the process ends through ``os._exit``, skipping
+    interpreter teardown (module and object finalisation).  If a flush
+    still fails (stderr), it raises ``SystemExit`` instead, so the
+    interpreter reports the failure and sets the exit status as it does
+    without this shortcut.  Exceptions from `main` propagate unchanged.
     """
     code = main()
     try:

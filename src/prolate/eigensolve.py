@@ -22,7 +22,12 @@ blocks, one per parity of its eigenvectors (Cantoni & Butler, 1976).
 eigh_householder_ql then reduces and iterates each block on its own, which
 cuts the O(n^3) reduction about fourfold and the QL work about twofold, and
 assembles exactly even and odd eigenvectors; other matrices are reduced
-whole.
+whole.  A SymbolMatrix is split without a check: its blocks are formed
+from a read-only strided view of its symbol, so no n x n matrix is built
+unless vectors, and with them the residual, are wanted.  An array input is
+validated read-only and never written; only what the reduction overwrites
+is copied (the two blocks, or one working matrix), and a Gram matrix that
+singular_values_via_gram builds for itself is reduced in place.
 
 QL deflates a coupling once |e_m| <= u (max |d_i| + 2 max |e_i|), u = 2^-53,
 an absolute test against a bound on ||T||_2 as in the Handbook's tql1 and
@@ -117,20 +122,38 @@ class Spectrum:
         return self.values.size
 
 
-def _as_dense_symmetric(a) -> np.ndarray:
+def _check_symbol(a: SymbolMatrix) -> None:
+    if not np.isfinite(a.symbol).all():
+        raise EigensolveError("matrix contains non-finite entries")
+
+
+def _bands(arr):
+    """(rows, cols) pairs covering a square matrix: rows r0:r1 from the
+    diagonal on, and columns r0:r1 below it, transposed to the same shape.
+    """
+    n = arr.shape[0]
+    for r0 in range(0, n, HOUSEHOLDER_CHUNK_ROWS):
+        r1 = min(r0 + HOUSEHOLDER_CHUNK_ROWS, n)
+        yield arr[r0:r1, r0:], arr[r0:, r0:r1].T
+
+
+def _as_dense_symmetric(a, overwrite: bool = False) -> np.ndarray:
     """Validate and symmetrize the input; rejects asymmetry beyond tolerance.
 
-    Returns a private array.  A SymbolMatrix is symmetric by construction,
-    so its dense realization is the only copy made.  For other input,
-    asymmetry and the average 0.5 (A + A^T) are formed a band of
-    HOUSEHOLDER_CHUNK_ROWS rows at a time in place, so besides the copy no
+    The result may be written exactly when its ``writeable`` flag is set.
+    A SymbolMatrix is symmetric by construction and returns its private
+    dense realization.  An array equal to its transpose bit for bit is
+    checked read-only and returned as a read-only view of itself, or as
+    itself with ``overwrite`` (the caller's private matrix).  Any other
+    array is averaged to 0.5 (A + A^T) in a private copy, or in itself with
+    ``overwrite``.  The check and the average go a band of
+    HOUSEHOLDER_CHUNK_ROWS rows at a time, so besides that copy no
     temporary as large as the matrix is made.
     """
     if isinstance(a, SymbolMatrix):
-        if not np.isfinite(a.symbol).all():
-            raise EigensolveError("matrix contains non-finite entries")
+        _check_symbol(a)
         return a.dense()
-    arr = np.array(a, dtype=np.float64, copy=True)
+    arr = np.asarray(a, dtype=np.float64, order="C")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ParameterError(f"expected a square matrix, got shape {arr.shape}")
     if arr.size == 0:
@@ -140,21 +163,29 @@ def _as_dense_symmetric(a) -> np.ndarray:
         raise EigensolveError("matrix contains non-finite entries")
     scale = max(1.0, hi, -lo)
     asym = 0.0
-    n = arr.shape[0]
-    for r0 in range(0, n, HOUSEHOLDER_CHUNK_ROWS):
-        r1 = min(r0 + HOUSEHOLDER_CHUNK_ROWS, n)
-        rows = arr[r0:r1, r0:]
-        cols = arr[r0:, r0:r1].T
+    exact = True
+    for rows, cols in _bands(arr):
+        if np.array_equal(rows.view(np.int64), cols.view(np.int64)):
+            continue  # equal bits: nothing to average here
+        exact = False
         band = rows - cols
         asym = max(asym, float(np.abs(band, out=band).max()))
-        np.add(rows, cols, out=band)
-        band *= 0.5
-        rows[...] = band
-        cols[...] = band
     if asym > SYMMETRY_TOL * scale:
         raise ParameterError(
             f"matrix is not symmetric: max |A - A^T| = {asym:.3e}"
         )
+    if exact:
+        if not overwrite:
+            arr = arr.view()
+            arr.flags.writeable = False
+        return arr
+    if not overwrite:
+        arr = arr.copy()
+    for rows, cols in _bands(arr):
+        band = rows + cols
+        band *= 0.5
+        rows[...] = band
+        cols[...] = band
     return arr
 
 
@@ -529,16 +560,25 @@ def _finish(a_sym, values, vectors, method, iterations) -> Spectrum:
 def _parity_blocks(sym):
     """The even and odd blocks of a centrosymmetric matrix, else None.
 
+    Only a matrix equal to its reversal J B J bit for bit is split; sizes
+    below 2 have nothing to split.
+    """
+    if sym.shape[0] < 2 or not np.array_equal(sym, sym[::-1, ::-1]):
+        return None
+    return _split_parity(sym)
+
+
+def _split_parity(sym):
+    """The even and odd blocks of a centrosymmetric matrix of size >= 2.
+
     With J the exchange matrix, J B J = B makes B orthogonally similar to
     diag(E, O) (Cantoni & Butler, 1976).  For h = n // 2, A = B[:h, :h] and
     H = B[:h, n-h:] J, the odd block is O = A - H and the even block is
     A + H, bordered for odd n by sqrt(2) B[:h, h] and B[h, h].  Both are
-    exactly symmetric when B is.  Only a matrix equal to its reversal bit
-    for bit is split; sizes below 2 have nothing to split.
+    exactly symmetric when B is.  ``sym`` is only read, so it may be a
+    read-only view; the two blocks are new arrays.
     """
     n = sym.shape[0]
-    if n < 2 or not np.array_equal(sym, sym[::-1, ::-1]):
-        return None
     h = n // 2
     a = sym[:h, :h]
     flip = sym[:h, n - h :][:, ::-1]
@@ -595,17 +635,34 @@ def eigh_householder_ql(a, want_vectors: bool = False) -> Spectrum:
     every symmetric Toeplitz matrix is) is solved as its two half-size
     parity blocks, whose vectors are the even and odd eigenvectors; the
     values are merged and ``iterations`` counts the steps of both.  Any
-    other matrix is reduced whole.  Deterministic for fixed input.  Raises
+    other matrix is reduced whole.  The input is never written.  A
+    SymbolMatrix is split without a check, its blocks read from the
+    symbol's strided view; its dense matrix is built only for the residual
+    that vectors come with.  Deterministic for fixed input.  Raises
     EigensolveError when the QL iteration exhausts its 50*n budget (per
     block), which signals pathological input rather than returning a
     silently partial answer.
     """
-    sym = _as_dense_symmetric(a)
-    blocks = _parity_blocks(sym)
+    if isinstance(a, SymbolMatrix):
+        _check_symbol(a)
+        sym = a.dense() if want_vectors else a.view()
+        blocks = _split_parity(sym) if a.n > 1 else None
+    else:
+        sym = _as_dense_symmetric(a)
+        blocks = _parity_blocks(sym)
+    return _householder_ql(sym, blocks, want_vectors)
+
+
+def _householder_ql(sym, blocks, want_vectors) -> Spectrum:
+    """Solve ``sym``, or its parity ``blocks`` unless None, and finish.
+
+    A writeable ``sym`` is private and, without vectors (so without a
+    residual), is reduced in place; otherwise the reduction gets a copy.
+    """
     if blocks is None:
-        # sym is private: only the residual needs it intact
+        in_place = sym.flags.writeable and not want_vectors
         values, rows, steps = _tridiagonal_ql(
-            sym.copy() if want_vectors else sym, want_vectors
+            sym if in_place else sym.copy(), want_vectors
         )
     else:
         if not want_vectors:
@@ -619,6 +676,13 @@ def eigh_householder_ql(a, want_vectors: bool = False) -> Spectrum:
     return _finish(
         sym, values, rows.T if want_vectors else None, "householder_ql", steps
     )
+
+
+def _gram_values(gram) -> np.ndarray:
+    """Eigenvalues, descending, of a private Gram matrix, which is validated
+    and reduced in place."""
+    gram = _as_dense_symmetric(gram, overwrite=True)
+    return _householder_ql(gram, _parity_blocks(gram), False).values
 
 
 def eigh_jacobi(a, want_vectors: bool = False) -> Spectrum:
@@ -645,7 +709,7 @@ def hermitian_embedding(g: np.ndarray) -> np.ndarray:
     out = np.empty((2 * n, 2 * n))
     out[:n, :n] = g.real
     out[n:, n:] = g.real
-    out[:n, n:] = -g.imag
+    np.negative(g.imag, out=out[:n, n:])
     out[n:, :n] = g.imag
     return out
 
@@ -689,9 +753,9 @@ def singular_values_via_gram(f: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(f):
         f = f.astype(np.complex128, copy=False)
         gram = hermitian_embedding(f.conj().T @ f)
-        return sqrt_clamped(eigh_householder_ql(gram).values[0::2])
+        return sqrt_clamped(_gram_values(gram)[0::2])
     f = f.astype(np.float64, copy=False)
     if f.shape[0] == f.shape[1] and np.array_equal(f, f.T):
         squares = np.square(eigh_householder_ql(f).values)
         return sqrt_clamped(np.sort(squares)[::-1])
-    return sqrt_clamped(eigh_householder_ql(f.T @ f).values)
+    return sqrt_clamped(_gram_values(f.T @ f))

@@ -104,8 +104,8 @@ class SymbolMatrix:
     def n(self) -> int:
         return self.symbol.size
 
-    def dense(self) -> np.ndarray:
-        """The n x n matrix, as one copy of a strided view.
+    def view(self) -> np.ndarray:
+        """The n x n matrix as a read-only strided view of 2n - 1 values.
 
         Over the offsets -(n-1)..n-1 the symbol reads as the palindrome
         ``diagonals``; row i is diagonals[n-1-i : 2n-1-i], so no index
@@ -113,7 +113,11 @@ class SymbolMatrix:
         """
         s = self.symbol
         diagonals = np.concatenate((s[:0:-1], s))
-        return sliding_window_view(diagonals, s.size)[::-1].copy()
+        return sliding_window_view(diagonals, s.size)[::-1]
+
+    def dense(self) -> np.ndarray:
+        """The n x n matrix: a private C-contiguous copy of `view`."""
+        return self.view().copy()
 
 
 def periodic_prolate(params: ProlateParams) -> SymbolMatrix:

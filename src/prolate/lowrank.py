@@ -228,7 +228,7 @@ def certify_lowrank_split(
     certificates = []
     for epsilon, split_order in zip(epsilons, orders):
         parts = lowrank_tail_split(params, epsilon, order=split_order)
-        residual = SymbolMatrix(np.abs(diff - parts.symbol)).dense()
+        residual = np.abs(diff - parts.symbol)
         sigma = singular_values_via_gram(parts.lowrank)
         top = sigma[0] if sigma.size else 0.0
         certificates.append(
@@ -238,7 +238,7 @@ def certify_lowrank_split(
                 order=parts.order,
                 rank=int((sigma > RANK_CUT * top).sum()) if top > 0.0 else 0,
                 tail_bound=parts.tail_bound,
-                row_sum=float(residual.sum(axis=1).max()),
+                row_sum=float(SymbolMatrix(residual).view().sum(axis=1).max()),
                 entry=float(residual.max()),
             )
         )

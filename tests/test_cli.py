@@ -529,24 +529,25 @@ def test_every_entry_point_ends_through_exit_main():
         assert proc.stdout.endswith(",true\n"), launch
 
 
-def test_failed_final_flush_reports_as_a_normal_exit():
-    # a buffered stdout whose reader is gone fails only at the last flush
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_exits_2_with_one_line(unbuffered):
+    # buffered, the write fails only at the flush; unbuffered, at the write
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    results = []
-    for launch in ("import sys; from prolate.cli import main; sys.exit(main())",
-                   "from prolate.cli import exit_main; exit_main()"):
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    for launch in (["-c", "import sys; from prolate.cli import main; sys.exit(main())"],
+                   ["-m", "prolate"]):
         read, write = os.pipe()
         os.close(read)
         try:
             proc = subprocess.run(
-                [sys.executable, "-c", launch, "certify", "M=64", "N=16", "K=7"],
+                [sys.executable, *launch, "certify", "M=64", "N=16", "K=7"],
                 stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
             )
         finally:
             os.close(write)
-        results.append((proc.returncode, proc.stderr))
-    assert results[1] == results[0]
-    assert results[1][0] == 120 and b"BrokenPipeError" in results[1][1]
+        assert proc.returncode == 2, launch
+        assert proc.stderr == b"error: cannot write stdout: Broken pipe\n", launch
 
 
 def test_closed_stdout_still_writes_out_path(tmp_path):

@@ -3,6 +3,7 @@ structural invariants of the prolate spectra, the Gram-based
 singular-value path, and the parity split of centrosymmetric matrices.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,6 +198,71 @@ def test_symbol_matrix_input_accepted():
         assert from_symbol.residual == from_dense.residual
 
 
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 257])
+def test_symbol_values_match_dense_bitwise(n, monkeypatch):
+    # values-only, the parity blocks come from the symbol's strided view,
+    # with the same bits as from the dense matrix, which is never built
+    blocks = (
+        pr.periodic_prolate(pr.ProlateParams(M=4 * n + 4, N=n, K=n)),
+        pr.sinc_prolate(n, 0.3),
+    )
+    want = [pr.eigh_householder_ql(block.dense()) for block in blocks]
+
+    def unused(self):
+        raise AssertionError("values-only solve built the dense matrix")
+
+    monkeypatch.setattr(pr.SymbolMatrix, "dense", unused)
+    for block, dense in zip(blocks, want):
+        got = pr.eigh_householder_ql(block)
+        assert np.array_equal(got.values, dense.values)
+        assert got.iterations == dense.iterations
+
+
+def test_solvers_never_write_caller_input():
+    rng = np.random.default_rng(53)
+    centro = _random_centrosymmetric(rng, 65)
+    plain = _random_symmetric(rng, 64)
+    near = _random_symmetric(rng, 64)
+    near[3, 5] += 0.5 * es.SYMMETRY_TOL  # asymmetric within the tolerance
+    assert es._parity_blocks(centro) is not None and es._parity_blocks(plain) is None
+    for a in (centro, plain, near):
+        a.flags.writeable = False
+        before = a.tobytes()
+        for call in (
+            lambda: pr.eigh_householder_ql(a),
+            lambda: pr.eigh_householder_ql(a, want_vectors=True),
+            lambda: pr.singular_values_via_gram(a),
+            lambda: pr.eigh_jacobi(a),
+        ):
+            assert call() is not None
+            assert a.tobytes() == before
+    with pytest.raises(pr.EigensolveError, match="non-finite"):
+        pr.eigh_householder_ql(pr.SymbolMatrix([1.0, np.nan, 0.5]))
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_values_only_symbol_solve_allocates_less_than_the_matrix():
+    # the two parity blocks together hold half of it
+    n = 512
+    block = pr.periodic_prolate(pr.ProlateParams(M=2048, N=n, K=256))
+    assert _peak_bytes(lambda: pr.eigh_householder_ql(block)) < 8 * n * n
+
+
+def test_gram_embedding_is_reduced_in_place():
+    # never two 2L x 2L real arrays at once: the embedding is not copied
+    f = pr.dft_submatrix(1024, 4)
+    dim = 2 * f.shape[1]
+    assert _peak_bytes(lambda: pr.singular_values_via_gram(f)) < 2 * 8 * dim * dim
+
 PARAM_GRID = [
     (16, 8, 3),
     (64, 16, 7),
@@ -296,11 +362,16 @@ def test_symmetric_input_takes_absolute_eigenvalues(monkeypatch):
     solved = []
     original = es.eigh_householder_ql
 
-    def spy(a, *args, **kwargs):
-        solved.append(np.array(a, copy=True))
-        return original(a, *args, **kwargs)
+    def spying(func):
+        def spy(a, *args, **kwargs):
+            solved.append(np.array(a, copy=True))
+            return func(a, *args, **kwargs)
 
-    monkeypatch.setattr(es, "eigh_householder_ql", spy)
+        return spy
+
+    # the Gram route solves its private F^T F in place, via _gram_values
+    monkeypatch.setattr(es, "eigh_householder_ql", spying(original))
+    monkeypatch.setattr(es, "_gram_values", spying(es._gram_values))
     for f in (parts.lowrank, _random_symmetric(rng, 30)):
         sigma = pr.singular_values_via_gram(f)
         assert np.array_equal(solved.pop(), f)
@@ -954,7 +1025,7 @@ def test_parity_split_matches_unsplit_core_and_jacobi(a):
     assert es._parity_blocks(es._as_dense_symmetric(a)) is not None
     unit = _unit(a)
     split = pr.eigh_householder_ql(a, want_vectors=True)
-    whole, _, _ = es._tridiagonal_ql(es._as_dense_symmetric(a), False)
+    whole, _, _ = es._tridiagonal_ql(es._as_dense_symmetric(a).copy(), False)
     assert np.abs(split.values - np.sort(whole)[::-1]).max() <= 2 * REDUCTION_RATIO * unit
     jacobi = pr.eigh_jacobi(a).values
     assert np.abs(split.values - jacobi).max() <= 2 * REDUCTION_RATIO * unit
