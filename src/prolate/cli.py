@@ -57,8 +57,8 @@ SWEEP_MAX_M = 8192
 # dft-sub.  At the limit, best of 2 on two cores without numba, `eigs M=16384
 # N=4096 K=2048` takes 3.0 s and 98 MB peak (it solves two parity blocks
 # built from the symbol, never the N x N matrix), `dft-sub M=4096 p=2` 13 s
-# and 291 MB, and `decompose M=16384 N=4096 K=2048` 13 s and 306 MB (2.6 s
-# and 99 MB at N=2048).
+# and 291 MB, and `decompose M=16384 N=4096 K=2048` 15 s and 114 MB (2.7 s
+# and 51 MB at N=2048; it too solves parity blocks, read from the symbol).
 MAX_DENSE_DIM = 4096
 # Largest N for commute, which solves B and its tridiagonal with vectors.
 # At the limit `commute M=3008 N=752 K=375` takes 2.5 s (median of 8) and

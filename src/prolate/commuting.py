@@ -122,7 +122,9 @@ def fit_commuting_tridiagonal(b, params: ProlateParams) -> TridiagonalFit:
     within COMMUTATOR_TOL whose T is unreduced is then compared with the
     direct eigendecomposition of B (see :class:`TridiagonalFit`).
     """
-    b = _as_dense_symmetric(b)
+    b, exponent = _as_dense_symmetric(b)
+    if exponent:  # back to its own scale: COMMUTATOR_TOL is absolute
+        b = np.ldexp(b, exponent)
     n = params.N
     if n < 2:
         raise ParameterError("commuting fit needs a matrix of size >= 2")
@@ -170,11 +172,13 @@ def eigenvectors_via_tridiagonal(fit: TridiagonalFit, b) -> Spectrum:
         raise EigensolveError(
             f"commutator norm {fit.commutator_norm:.3e} exceeds {COMMUTATOR_TOL}"
         )
-    b = _as_dense_symmetric(b)
+    b, exponent = _as_dense_symmetric(b)
     if b.shape[0] != fit.n:
         raise ParameterError(
             f"matrix size {b.shape[0]} does not match the fit size {fit.n}"
         )
     tri = eigh_householder_ql(fit.dense(), want_vectors=True)
     rayleigh = np.einsum("ij,ij->j", tri.vectors, b @ tri.vectors)
-    return _finish(b, rayleigh, tri.vectors, "householder_ql", tri.iterations)
+    return _finish(
+        b, rayleigh, tri.vectors, "householder_ql", tri.iterations, exponent
+    )

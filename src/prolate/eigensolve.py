@@ -24,10 +24,17 @@ cuts the O(n^3) reduction about fourfold and the QL work about twofold, and
 assembles exactly even and odd eigenvectors; other matrices are reduced
 whole.  A SymbolMatrix is split without a check: its blocks are formed
 from a read-only strided view of its symbol, so no n x n matrix is built
-unless vectors, and with them the residual, are wanted.  An array input is
-validated read-only and never written; only what the reduction overwrites
-is copied (the two blocks, or one working matrix), and a Gram matrix that
-singular_values_via_gram builds for itself is reduced in place.
+unless vectors, and with them the residual, are wanted.  An array input of
+any layout is validated read-only where it lies and never written; only
+what the reduction overwrites is copied, C-ordered (the two blocks, or one
+working matrix), and a Gram matrix that singular_values_via_gram builds
+for itself is reduced in place.
+
+A matrix whose largest |entry| lies outside [1/MAGNITUDE_RANGE,
+MAGNITUDE_RANGE] is solved scaled by a power of two into that range, and its
+eigenvalues are scaled back; inside it no sum of squares in Jacobi, no
+deflation bound in QL and no symmetrizing average can overflow or underflow.
+An eigenvalue beyond the largest double raises EigensolveError.
 
 QL deflates a coupling once |e_m| <= u (max |d_i| + 2 max |e_i|), u = 2^-53,
 an absolute test against a bound on ||T||_2 as in the Handbook's tql1 and
@@ -86,6 +93,9 @@ JACOBI_OFF_TOL = 1e-14
 # Beyond this |theta|, 1 + theta*theta == theta*theta exactly, so the
 # rotation tangent is 0.5/theta; squaring would overflow past ~1.3e154.
 JACOBI_LARGE_THETA = 1e150
+# Inputs whose largest |entry| lies in [1/MAGNITUDE_RANGE, MAGNITUDE_RANGE]
+# are solved as they are; any other is scaled into it by a power of two.
+MAGNITUDE_RANGE = 2.0**400
 # Relative spectral floor for Gram-based singular values; squaring the
 # matrix halves the usable dynamic range, so eigenvalues this far below
 # the top are indistinguishable from zero in double precision.
@@ -122,9 +132,23 @@ class Spectrum:
         return self.values.size
 
 
-def _check_symbol(a: SymbolMatrix) -> None:
+def _range_exponent(top: float) -> int:
+    """0 when top = max |entry| is 0 or within MAGNITUDE_RANGE, else the
+    e with top = f 2^e, 1/2 <= f < 1, so that top 2^-e lies in [1/2, 1)."""
+    if top == 0.0 or 1.0 / MAGNITUDE_RANGE <= top <= MAGNITUDE_RANGE:
+        return 0
+    return math.frexp(top)[1]
+
+
+def _in_range_symbol(a: SymbolMatrix) -> tuple[SymbolMatrix, int]:
+    """``a``, checked finite and scaled by 2^-e into range, and e (see
+    _range_exponent)."""
     if not np.isfinite(a.symbol).all():
         raise EigensolveError("matrix contains non-finite entries")
+    exponent = _range_exponent(float(np.abs(a.symbol).max()))
+    if exponent:
+        a = SymbolMatrix(np.ldexp(a.symbol, -exponent))
+    return a, exponent
 
 
 def _bands(arr):
@@ -137,23 +161,26 @@ def _bands(arr):
         yield arr[r0:r1, r0:], arr[r0:, r0:r1].T
 
 
-def _as_dense_symmetric(a, overwrite: bool = False) -> np.ndarray:
+def _as_dense_symmetric(a, overwrite: bool = False) -> tuple[np.ndarray, int]:
     """Validate and symmetrize the input; rejects asymmetry beyond tolerance.
 
-    The result may be written exactly when its ``writeable`` flag is set.
+    Returns the matrix scaled by 2^-e into range, and e (see
+    _range_exponent); e is 0, and nothing is scaled, for an input in range.
+    The matrix may be written exactly when its ``writeable`` flag is set.
     A SymbolMatrix is symmetric by construction and returns its private
-    dense realization.  An array equal to its transpose bit for bit is
-    checked read-only and returned as a read-only view of itself, or as
-    itself with ``overwrite`` (the caller's private matrix).  Any other
-    array is averaged to 0.5 (A + A^T) in a private copy, or in itself with
-    ``overwrite``.  The check and the average go a band of
+    dense realization.  An array of any layout is read where it lies.  One
+    equal to its transpose bit for bit is checked read-only and returned as
+    a read-only view of itself, or as itself with ``overwrite`` (the
+    caller's private matrix).  Any other array, or one out of range, is
+    averaged to 0.5 (A + A^T) or scaled in a private C-ordered copy, or in
+    itself with ``overwrite``.  The check and the average go a band of
     HOUSEHOLDER_CHUNK_ROWS rows at a time, so besides that copy no
     temporary as large as the matrix is made.
     """
     if isinstance(a, SymbolMatrix):
-        _check_symbol(a)
-        return a.dense()
-    arr = np.asarray(a, dtype=np.float64, order="C")
+        a, exponent = _in_range_symbol(a)
+        return a.dense(), exponent
+    arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ParameterError(f"expected a square matrix, got shape {arr.shape}")
     if arr.size == 0:
@@ -174,19 +201,24 @@ def _as_dense_symmetric(a, overwrite: bool = False) -> np.ndarray:
         raise ParameterError(
             f"matrix is not symmetric: max |A - A^T| = {asym:.3e}"
         )
-    if exact:
+    exponent = _range_exponent(max(hi, -lo))
+    if exact and not exponent:
         if not overwrite:
             arr = arr.view()
             arr.flags.writeable = False
-        return arr
+        return arr, 0
     if not overwrite:
         arr = arr.copy()
+    if exponent:  # first, so that the average cannot overflow
+        np.ldexp(arr, -exponent, out=arr)
+    if exact:
+        return arr, exponent
     for rows, cols in _bands(arr):
         band = rows + cols
         band *= 0.5
         rows[...] = band
         cols[...] = band
-    return arr
+    return arr, exponent
 
 
 def _subtract_product(target, left, right, buf):
@@ -538,7 +570,9 @@ def _fix_vector_signs(vectors: np.ndarray) -> None:
     np.negative(vectors, out=vectors, where=flip)
 
 
-def _finish(a_sym, values, vectors, method, iterations) -> Spectrum:
+def _finish(a_sym, values, vectors, method, iterations, exponent) -> Spectrum:
+    """Sort, fix vector signs, measure the residual, and scale values and
+    residual back by 2^exponent (see _range_exponent)."""
     order = np.argsort(-values, kind="stable")
     values = values[order]
     residual = None
@@ -548,6 +582,13 @@ def _finish(a_sym, values, vectors, method, iterations) -> Spectrum:
         residual = float(
             np.abs(a_sym @ vectors - vectors * values[None, :]).max(initial=0.0)
         )
+    if exponent:
+        with np.errstate(over="ignore"):
+            values = np.ldexp(values, exponent)
+        if not np.isfinite(values).all():
+            raise EigensolveError("an eigenvalue exceeds the largest double")
+        if residual is not None:
+            residual = math.ldexp(residual, exponent)
     return Spectrum(
         values=values,
         vectors=vectors,
@@ -576,18 +617,19 @@ def _split_parity(sym):
     H = B[:h, n-h:] J, the odd block is O = A - H and the even block is
     A + H, bordered for odd n by sqrt(2) B[:h, h] and B[h, h].  Both are
     exactly symmetric when B is.  ``sym`` is only read, so it may be a
-    read-only view; the two blocks are new arrays.
+    read-only view of any layout; the two blocks are new C-ordered arrays,
+    so their eigenvalues do not depend on that layout.
     """
     n = sym.shape[0]
     h = n // 2
     a = sym[:h, :h]
     flip = sym[:h, n - h :][:, ::-1]
-    even = np.empty((n - h, n - h))
+    even, odd = np.empty((n - h, n - h)), np.empty((h, h))
     np.add(a, flip, out=even[:h, :h])
     if n - h > h:
         even[:h, h] = even[h, :h] = sym[:h, h] * math.sqrt(2.0)
         even[h, h] = sym[h, h]
-    return even, a - flip
+    return even, np.subtract(a, flip, out=odd)
 
 
 def _parity_vectors(even_rows, odd_rows):
@@ -644,17 +686,18 @@ def eigh_householder_ql(a, want_vectors: bool = False) -> Spectrum:
     silently partial answer.
     """
     if isinstance(a, SymbolMatrix):
-        _check_symbol(a)
+        a, exponent = _in_range_symbol(a)
         sym = a.dense() if want_vectors else a.view()
         blocks = _split_parity(sym) if a.n > 1 else None
     else:
-        sym = _as_dense_symmetric(a)
+        sym, exponent = _as_dense_symmetric(a)
         blocks = _parity_blocks(sym)
-    return _householder_ql(sym, blocks, want_vectors)
+    return _householder_ql(sym, blocks, want_vectors, exponent)
 
 
-def _householder_ql(sym, blocks, want_vectors) -> Spectrum:
-    """Solve ``sym``, or its parity ``blocks`` unless None, and finish.
+def _householder_ql(sym, blocks, want_vectors, exponent) -> Spectrum:
+    """Solve ``sym``, or its parity ``blocks`` unless None, and finish,
+    scaling back by 2^exponent.
 
     A writeable ``sym`` is private and, without vectors (so without a
     residual), is reduced in place; otherwise the reduction gets a copy.
@@ -673,16 +716,15 @@ def _householder_ql(sym, blocks, want_vectors) -> Spectrum:
         values = np.concatenate((values, odd_values))
         steps += odd_steps
         rows = _parity_vectors(even, odd) if want_vectors else None
-    return _finish(
-        sym, values, rows.T if want_vectors else None, "householder_ql", steps
-    )
+    vectors = rows.T if want_vectors else None
+    return _finish(sym, values, vectors, "householder_ql", steps, exponent)
 
 
 def _gram_values(gram) -> np.ndarray:
     """Eigenvalues, descending, of a private Gram matrix, which is validated
     and reduced in place."""
-    gram = _as_dense_symmetric(gram, overwrite=True)
-    return _householder_ql(gram, _parity_blocks(gram), False).values
+    gram, exponent = _as_dense_symmetric(gram, overwrite=True)
+    return _householder_ql(gram, _parity_blocks(gram), False, exponent).values
 
 
 def eigh_jacobi(a, want_vectors: bool = False) -> Spectrum:
@@ -693,13 +735,13 @@ def eigh_jacobi(a, want_vectors: bool = False) -> Spectrum:
     vectors about 0.06 s at n = 64 and 2.2 s at n = 256).  ``iterations``
     counts sweeps; EigensolveError after JACOBI_MAX_SWEEPS of them.
     """
-    sym = _as_dense_symmetric(a)
+    sym, exponent = _as_dense_symmetric(a)
     sweeps, values, vectors = _jacobi_cyclic(sym, want_vectors, JACOBI_MAX_SWEEPS)
     if sweeps < 0:
         raise EigensolveError(
             f"Jacobi iteration did not converge within {JACOBI_MAX_SWEEPS} sweeps"
         )
-    return _finish(sym, values, vectors, "jacobi", sweeps)
+    return _finish(sym, values, vectors, "jacobi", sweeps, exponent)
 
 
 def hermitian_embedding(g: np.ndarray) -> np.ndarray:

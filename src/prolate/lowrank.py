@@ -12,8 +12,8 @@ Truncating the series after R terms leaves a matrix of rank at most 4R
 (it factors through monomial-times-oscillation columns) plus a tail whose
 maximum absolute row sum is certified by a geometric-series bound.  Each
 term is even in k, so the truncated part is a symmetric Toeplitz matrix
-built, like the two kernels, from its symbol at offsets 0..N-1.  This
-module materializes the split, certifies the tail, and runs the numeric
+kept, like the two kernels, as its symbol at offsets 0..N-1.  This
+module builds that symbol, certifies the tail, and runs the numeric
 effective-rank check of the sinc-kernel matrix against its partial
 Fourier projector.
 """
@@ -107,8 +107,8 @@ def certified_order(params: ProlateParams, epsilon: float) -> int:
 class LowRankParts:
     """Truncated-series split of (periodic - sinc) prolate difference.
 
-    ``lowrank`` holds the first ``order`` series terms entrywise, the
-    Toeplitz matrix of ``symbol``; it equals
+    The low-rank part is the Toeplitz matrix ``SymbolMatrix(symbol)`` of
+    the first ``order`` series terms at offsets 0..N-1; it equals
     sin_factor @ coeff @ cos_factor.T - cos_factor @ coeff @ sin_factor.T
     exactly, so its rank is at most 4*order.  ``tail_bound`` certifies the
     maximum absolute row sum of what was dropped, and ``entry_bound`` is
@@ -120,13 +120,12 @@ class LowRankParts:
     sin_factor: np.ndarray = field(repr=False)
     cos_factor: np.ndarray = field(repr=False)
     symbol: np.ndarray = field(repr=False)
-    lowrank: np.ndarray = field(repr=False)
     tail_bound: float
     entry_bound: float
     epsilon: float
 
     def reconstruct(self) -> np.ndarray:
-        """Assemble the factored form; matches ``lowrank`` to ~1e-13."""
+        """The factored form; equal to SymbolMatrix(symbol) to ~1e-13."""
         u, v, d = self.sin_factor, self.cos_factor, self.coeff
         return u @ d @ v.T - v @ d @ u.T
 
@@ -155,9 +154,9 @@ def lowrank_tail_split(
     By default the truncation order is the smallest one whose certified
     tail bound is at most eps/16 (the per-entry bound is then
     eps/(16 N)); pass ``order`` to inspect other truncations.  The
-    low-rank part is formed entrywise from the truncated series, which is
-    mathematically identical to the factored form but avoids the
-    cancellation of high-power monomials; the factors themselves are
+    low-rank part is kept as its symbol, summed from the truncated series:
+    mathematically the factored form, without the cancellation of
+    high-power monomials, and no N x N matrix.  The factors themselves are
     still returned for the algebraic identity check.
     """
     order, bound = _split_plan(params, epsilon, order)
@@ -180,7 +179,6 @@ def lowrank_tail_split(
         sin_factor=sin_factor,
         cos_factor=cos_factor,
         symbol=symbol,
-        lowrank=SymbolMatrix(symbol).dense(),
         tail_bound=bound,
         entry_bound=bound / n,
         epsilon=float(epsilon),
@@ -229,7 +227,7 @@ def certify_lowrank_split(
     for epsilon, split_order in zip(epsilons, orders):
         parts = lowrank_tail_split(params, epsilon, order=split_order)
         residual = np.abs(diff - parts.symbol)
-        sigma = singular_values_via_gram(parts.lowrank)
+        sigma = singular_values_via_gram(SymbolMatrix(parts.symbol).view())
         top = sigma[0] if sigma.size else 0.0
         certificates.append(
             SplitCertificate(

@@ -151,12 +151,12 @@ def test_criterion_6_decomposition_certificates():
     ok = True
     for eps in (1e-3, 1e-6):
         parts = pr.lowrank_tail_split(FIG1, eps)
-        residual = difference - parts.lowrank
+        residual = difference - pr.SymbolMatrix(parts.symbol).dense()
         row_sum = float(np.abs(residual).sum(axis=1).max())
         entry = float(np.abs(residual).max())
         # the rank the certificate reports, against a LAPACK SVD count
         (cert,) = pr.certify_lowrank_split(FIG1, [eps])
-        expected = _snapped_rank(parts.lowrank)
+        expected = _snapped_rank(pr.SymbolMatrix(parts.symbol).dense())
         rank_ok = cert.rank == expected and cert.rank <= 4 * parts.order
         ok = ok and row_sum <= eps / 16 and entry <= eps / (16 * FIG1.N) and rank_ok
         details.append(

@@ -171,3 +171,19 @@ def test_eigenvectors_require_matching_size():
     fit, _ = _fit(64, 16, 7)
     with pytest.raises(pr.ParameterError):
         pr.eigenvectors_via_tridiagonal(fit, _prolate(64, 18, 7)[1])
+
+
+def test_out_of_range_block_keeps_its_scale():
+    # the solvers rescale a block outside their magnitude range; the fit
+    # still measures the commutator at the block's own scale, and the
+    # Rayleigh quotients come back exactly 2^k times those of the block
+    params, dense = _prolate(64, 16, 7)
+    fit = pr.fit_commuting_tridiagonal(dense, params)
+    want = pr.eigenvectors_via_tridiagonal(fit, dense)
+    for k in (-450, 450):
+        scaled = np.ldexp(dense, k)
+        norm = pr.fit_commuting_tridiagonal(scaled, params).commutator_norm
+        assert norm == pytest.approx(math.ldexp(fit.commutator_norm, k), rel=1e-12)
+        got = pr.eigenvectors_via_tridiagonal(fit, scaled)
+        assert np.array_equal(got.values, np.ldexp(want.values, k))
+        assert np.array_equal(got.vectors, want.vectors)

@@ -162,8 +162,8 @@ def test_banded_symmetrization_matches_average_bitwise():
         a = _random_symmetric(rng, n)
         a += 1e-14 * rng.standard_normal((n, n))
         before = a.copy()
-        sym = es._as_dense_symmetric(a)
-        assert np.array_equal(sym, 0.5 * (a + a.T))
+        sym, exponent = es._as_dense_symmetric(a)
+        assert np.array_equal(sym, 0.5 * (a + a.T)) and exponent == 0
         assert np.array_equal(a, before)
     # an asymmetric pair in the last band is found and reported exactly
     a = _random_symmetric(rng, 2 * rows + 44)
@@ -263,6 +263,84 @@ def test_gram_embedding_is_reduced_in_place():
     dim = 2 * f.shape[1]
     assert _peak_bytes(lambda: pr.singular_values_via_gram(f)) < 2 * 8 * dim * dim
 
+
+def test_any_layout_is_solved_where_it_lies_with_the_same_bits():
+    # a Fortran-ordered copy and the strided symbol view are read in place,
+    # and both parity blocks are C-ordered, so the bits match the C block
+    block = pr.periodic_prolate(pr.ProlateParams(M=2048, N=513, K=256))
+    dense = block.dense()
+    want = pr.eigh_householder_ql(dense)
+    fortran = np.asfortranarray(dense)
+    for a in (fortran, block.view()):
+        got = pr.eigh_householder_ql(a)
+        assert np.array_equal(got.values, want.values)
+        assert got.iterations == want.iterations
+    n = 512
+    fortran = np.asfortranarray(pr.periodic_prolate(pr.ProlateParams(2048, n, 256)).dense())
+    assert _peak_bytes(lambda: pr.eigh_householder_ql(fortran)) < 1.25 * 8 * n * n
+
+
+def _lapack_values(a):
+    return np.linalg.eigvalsh(0.5 * a + 0.5 * a.T)[::-1]
+
+
+# Largest |entry| far outside the solvers' range: each broke at least one
+# solver (an average, a sum of squares or QL's deflation bound overflowed
+# or underflowed) before the solvers rescaled their input.
+OUT_OF_RANGE = [
+    np.array([[1.5e308, 1.0], [1.0 + 1e-9, 2.0]]),
+    np.full((2, 2), 1e200),
+    np.array([[8e307, 8e307], [8e307, -8e307]]),
+    1e-200 * np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]),
+    1e-160 * np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]),
+]
+
+
+@pytest.mark.parametrize("solver", [pr.eigh_householder_ql, pr.eigh_jacobi])
+@pytest.mark.parametrize("a", OUT_OF_RANGE, ids=lambda a: f"{a[0, 0]:.1e}")
+def test_extreme_magnitudes_match_lapack(solver, a):
+    want = _lapack_values(a)
+    for want_vectors in (False, True):
+        got = solver(a, want_vectors=want_vectors)
+        assert np.abs(got.values - want).max() <= 4e-16 * np.abs(want).max()
+    assert got.residual <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("solver", [pr.eigh_householder_ql, pr.eigh_jacobi])
+def test_overflowing_eigenvalue_raises(solver):
+    with pytest.raises(pr.EigensolveError, match="largest double"):
+        solver(np.full((2, 2), 1e308))
+    with pytest.raises(pr.EigensolveError, match="largest double"):
+        solver(pr.SymbolMatrix([1e308, 1e308]))
+
+
+def test_out_of_range_input_is_an_exact_power_of_two_rescale():
+    # outside the range the solvers see the matrix scaled by 2^-e, so the
+    # values are exactly 2^k times those of the in-range matrix; an input
+    # in range, edges included, is neither copied nor scaled
+    rng = np.random.default_rng(61)
+    plain = _random_symmetric(rng, 40)
+    block = pr.sinc_prolate(33, 0.2)
+    for a in (plain, block.dense(), block):
+        for solver in (pr.eigh_householder_ql, pr.eigh_jacobi):
+            want = solver(a, want_vectors=True)
+            for k in (-900, -450, 450, 1000):  # no entry or value subnormal
+                scaled = (
+                    pr.SymbolMatrix(np.ldexp(a.symbol, k))
+                    if isinstance(a, pr.SymbolMatrix)
+                    else np.ldexp(a, k)
+                )
+                got = solver(scaled, want_vectors=True)
+                assert np.array_equal(got.values, np.ldexp(want.values, k))
+                assert np.array_equal(got.vectors, want.vectors)
+                assert got.residual == math.ldexp(want.residual, k)
+    for top in (1.0 / es.MAGNITUDE_RANGE, es.MAGNITUDE_RANGE):
+        a = top * np.array([[1.0, 0.5], [0.5, -1.0]])
+        sym, exponent = es._as_dense_symmetric(a)
+        assert exponent == 0 and np.shares_memory(sym, a)
+        sym, exponent = es._as_dense_symmetric(2.0 * a if top > 1.0 else 0.5 * a)
+        assert exponent != 0 and 0.5 <= np.abs(sym).max() < 1.0
+
 PARAM_GRID = [
     (16, 8, 3),
     (64, 16, 7),
@@ -345,7 +423,7 @@ def test_singular_values_real_gram_matches_complex_embedding():
     # inherits u sigma_0^2 / sigma_i), and the rank counts match.
     parts = pr.lowrank_tail_split(pr.ProlateParams(M=1024, N=256, K=128), 1e-6)
     rng = np.random.default_rng(29)
-    for f in (parts.lowrank, rng.standard_normal((40, 25))):
+    for f in (pr.SymbolMatrix(parts.symbol).dense(), rng.standard_normal((40, 25))):
         real = pr.singular_values_via_gram(f)
         cast = pr.singular_values_via_gram(f.astype(np.complex128))
         assert real.shape == cast.shape == (f.shape[1],)
@@ -372,7 +450,7 @@ def test_symmetric_input_takes_absolute_eigenvalues(monkeypatch):
     # the Gram route solves its private F^T F in place, via _gram_values
     monkeypatch.setattr(es, "eigh_householder_ql", spying(original))
     monkeypatch.setattr(es, "_gram_values", spying(es._gram_values))
-    for f in (parts.lowrank, _random_symmetric(rng, 30)):
+    for f in (pr.SymbolMatrix(parts.symbol).dense(), _random_symmetric(rng, 30)):
         sigma = pr.singular_values_via_gram(f)
         assert np.array_equal(solved.pop(), f)
         lam = original(f).values
@@ -384,7 +462,7 @@ def test_symmetric_input_takes_absolute_eigenvalues(monkeypatch):
         kept = sigma > 0.0
         assert np.abs(sigma - lapack)[kept].max() <= 1e-13 * sigma[0]
         assert lapack[~kept].max(initial=0.0) <= 1.01 * math.sqrt(GRAM_NOISE_FLOOR) * sigma[0]
-    assert es._parity_blocks(parts.lowrank) is not None
+    assert es._parity_blocks(pr.SymbolMatrix(parts.symbol).dense()) is not None
     # square but not symmetric, and symmetric only to rounding: the Gram
     f = rng.standard_normal((7, 7))
     for g in (f, f + f.T + np.triu(np.full((7, 7), 1e-15), 1)):
@@ -615,7 +693,7 @@ def _jacobi_sweeps_scalar(a, v, n, want_v, max_sweeps):
 
 def _reference_ql(a, want_vectors=True):
     # the same parity split as the kernel, with the scalar QL on each block
-    sym = es._as_dense_symmetric(a)
+    sym, exponent = es._as_dense_symmetric(a)
     blocks = es._parity_blocks(sym)
     values, rows, steps = [], [], 0
     for block in [sym.copy()] if blocks is None else blocks:
@@ -631,7 +709,7 @@ def _reference_ql(a, want_vectors=True):
     vectors = None
     if want_vectors:
         vectors = rows[0].T if blocks is None else es._parity_vectors(*rows).T
-    return es._finish(sym, np.concatenate(values), vectors, "householder_ql", steps)
+    return es._finish(sym, np.concatenate(values), vectors, "householder_ql", steps, exponent)
 
 
 def _rotation_scalar(app, aqq, apq):
@@ -708,12 +786,12 @@ def _jacobi_rounds_scalar(a_array, max_sweeps):
 
 
 def _reference_jacobi(a):
-    sym = es._as_dense_symmetric(a)
+    sym, exponent = es._as_dense_symmetric(a)
     n = sym.shape[0]
     sweeps, work, vt = _jacobi_rounds_scalar(sym, es.JACOBI_MAX_SWEEPS)
     assert sweeps >= 0
     values = np.array([work[i][i] for i in range(n)])
-    return es._finish(sym, values, np.array(vt[:n]).T, "jacobi", sweeps)
+    return es._finish(sym, values, np.array(vt[:n]).T, "jacobi", sweeps, exponent)
 
 
 def _reference_inputs():
@@ -747,12 +825,12 @@ def test_jacobi_orderings_agree_within_backward_error():
     # moves by at most that sum over the gap (Davis-Kahan)
     for label, a in _reference_inputs():
         got = pr.eigh_jacobi(a, want_vectors=True)
-        sym = es._as_dense_symmetric(a)
+        sym, exponent = es._as_dense_symmetric(a)
         work = sym.copy()
         v = np.eye(sym.shape[0])
         sweeps = _jacobi_cyclic_scalar(work, v, True, es.JACOBI_MAX_SWEEPS)
         assert 0 <= sweeps
-        want = es._finish(sym, np.ascontiguousarray(np.diag(work)), v, "", sweeps)
+        want = es._finish(sym, np.ascontiguousarray(np.diag(work)), v, "", sweeps, exponent)
         allowed = 2 * REDUCTION_RATIO * _unit(a)
         assert np.abs(got.values - want.values).max() <= allowed, label
         gaps = np.full(got.values.size, np.inf)
@@ -1022,10 +1100,10 @@ def _assert_parity(vectors):
 )
 def test_parity_split_matches_unsplit_core_and_jacobi(a):
     n = a.shape[0]
-    assert es._parity_blocks(es._as_dense_symmetric(a)) is not None
+    assert es._parity_blocks(es._as_dense_symmetric(a)[0]) is not None
     unit = _unit(a)
     split = pr.eigh_householder_ql(a, want_vectors=True)
-    whole, _, _ = es._tridiagonal_ql(es._as_dense_symmetric(a).copy(), False)
+    whole, _, _ = es._tridiagonal_ql(es._as_dense_symmetric(a)[0].copy(), False)
     assert np.abs(split.values - np.sort(whole)[::-1]).max() <= 2 * REDUCTION_RATIO * unit
     jacobi = pr.eigh_jacobi(a).values
     assert np.abs(split.values - jacobi).max() <= 2 * REDUCTION_RATIO * unit

@@ -3,6 +3,7 @@ the rank-certified split with its Gershgorin tail certificate, and the
 projector effective-rank check.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,7 +123,7 @@ def test_zero_order_split_is_pure_tail():
     parts = pr.lowrank_tail_split(wide, eps)
     assert parts.order == 0
     assert parts.sin_factor.shape == (64, 0)
-    assert np.all(parts.lowrank == 0.0)
+    assert np.all(pr.SymbolMatrix(parts.symbol).dense() == 0.0)
     assert parts.tail_bound <= eps / 16.0
     dense = pr.periodic_prolate(wide).dense() - pr.sinc_prolate(64, wide.W).dense()
     assert np.abs(dense).sum(axis=1).max() <= eps / 16.0
@@ -136,7 +137,7 @@ def test_split_certificates(eps, order):
         pr.periodic_prolate(PARAMS).dense()
         - pr.sinc_prolate(PARAMS.N, PARAMS.W).dense()
     )
-    residual = diff - parts.lowrank
+    residual = diff - pr.SymbolMatrix(parts.symbol).dense()
     row_sum = np.abs(residual).sum(axis=1).max()
     assert row_sum <= parts.tail_bound
     assert parts.tail_bound <= eps / 16.0
@@ -148,14 +149,16 @@ def test_split_factored_form_matches():
     for eps in (1e-3, 1e-6, 1e-12):  # orders 3, 5, 10: all moderate
         parts = pr.lowrank_tail_split(PARAMS, eps)
         assert parts.order <= 10
-        assert np.abs(parts.reconstruct() - parts.lowrank).max() <= 1e-13
+        lowrank = pr.SymbolMatrix(parts.symbol).dense()
+        assert np.abs(parts.reconstruct() - lowrank).max() <= 1e-13
 
 
 def test_split_structure():
     # even series terms make the truncated part exactly symmetric, while
     # the coefficient matrix is antisymmetric (swap-antisymmetric form)
     parts = pr.lowrank_tail_split(PARAMS, 1e-6)
-    assert np.array_equal(parts.lowrank, parts.lowrank.T)
+    lowrank = pr.SymbolMatrix(parts.symbol).dense()
+    assert np.array_equal(lowrank, lowrank.T)
     assert np.array_equal(parts.coeff, -parts.coeff.T)
     anti = np.add.outer(np.arange(10), np.arange(10))
     assert np.all(parts.coeff[anti % 2 == 0] == 0.0)
@@ -170,7 +173,8 @@ def test_split_lowrank_matches_index_construction_bitwise():
         for r in range(1, parts.order + 1):
             symbol += _tail_symbol(params, r, offsets)
         i = np.arange(n)
-        assert np.array_equal(parts.lowrank, symbol[(i[:, None] - i[None, :]) + (n - 1)])
+        lowrank = pr.SymbolMatrix(parts.symbol).dense()
+        assert np.array_equal(lowrank, symbol[(i[:, None] - i[None, :]) + (n - 1)])
 
 
 def test_split_evaluates_each_eta_once(monkeypatch):
@@ -187,7 +191,7 @@ def test_split_rank_certificate():
     # against an independent count: LAPACK's SVD with the same noise snap
     (cert,) = pr.certify_lowrank_split(PARAMS, [1e-6])
     parts = pr.lowrank_tail_split(PARAMS, 1e-6)
-    squares = np.linalg.svd(parts.lowrank, compute_uv=False) ** 2
+    squares = np.linalg.svd(pr.SymbolMatrix(parts.symbol).dense(), compute_uv=False) ** 2
     assert squares[0] > 0.0
     squares[squares < pr.eigensolve.GRAM_NOISE_FLOOR * squares[0]] = 0.0
     sigma = np.sqrt(squares)
@@ -204,7 +208,7 @@ def test_split_with_undersized_order_violates_certificate():
         pr.periodic_prolate(PARAMS).dense()
         - pr.sinc_prolate(PARAMS.N, PARAMS.W).dense()
     )
-    row_sum = np.abs(diff - parts.lowrank).sum(axis=1).max()
+    row_sum = np.abs(diff - pr.SymbolMatrix(parts.symbol).dense()).sum(axis=1).max()
     assert row_sum > eps / 16.0
     assert parts.tail_bound > eps / 16.0
 
@@ -272,12 +276,35 @@ def test_split_residual_from_symbols_matches_dense_bitwise(params):
     certs = pr.certify_lowrank_split(params, (1e-3, 1e-6, 1e-9, 1e-12))
     for cert in certs:
         parts = pr.lowrank_tail_split(params, cert.epsilon)
-        assert np.array_equal(parts.lowrank, pr.SymbolMatrix(parts.symbol).dense())
-        dense = np.abs(pr.SymbolMatrix(difference).dense() - parts.lowrank)
+        lowrank = pr.SymbolMatrix(parts.symbol).dense()
+        dense = np.abs(pr.SymbolMatrix(difference).dense() - lowrank)
         from_symbol = pr.SymbolMatrix(np.abs(difference - parts.symbol)).dense()
         assert np.array_equal(from_symbol, dense)
         assert cert.row_sum == float(dense.sum(axis=1).max())
         assert cert.entry == float(dense.max())
+
+
+def test_split_certificate_never_builds_the_lowrank_matrix():
+    # the parts keep only the symbol, and the rank is measured on its
+    # read-only view: two half-size parity blocks, no N x N copy
+    n = 512
+    params, certify = pr.ProlateParams(2048, n, 256), pr.certify_lowrank_split
+    tracemalloc.start()
+    try:
+        certify(params, [1e-6])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * n * n
+
+
+@pytest.mark.parametrize("params", [PARAMS, pr.ProlateParams(M=2048, N=256, K=128)])
+def test_split_rank_from_view_matches_dense_bitwise(params):
+    # (2048, 256, 128) is the case whose rank count sits closest to the cut
+    for eps in (1e-3, 1e-6, 1e-9, 1e-12):
+        lowrank = pr.SymbolMatrix(pr.lowrank_tail_split(params, eps).symbol)
+        view = pr.singular_values_via_gram(lowrank.view())
+        assert np.array_equal(view, pr.singular_values_via_gram(lowrank.dense()))
 
 
 @pytest.mark.xfail(
