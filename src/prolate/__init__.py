@@ -25,7 +25,6 @@ from .eigensolve import (
     Spectrum,
     eigh_householder_ql,
     eigh_jacobi,
-    hermitian_embedding,
     singular_values_via_gram,
 )
 from .kernels import (
@@ -94,7 +93,6 @@ __all__ = [
     "eigh_jacobi",
     "eta_even",
     "fit_commuting_tridiagonal",
-    "hermitian_embedding",
     "lowrank_tail_split",
     "periodic_prolate",
     "projector_gap_rank",

@@ -53,13 +53,16 @@ DEFAULT_EPSILONS = (1e-3, 1e-6, 1e-9, 1e-12)
 # two cores without numba.
 SWEEP_MAX_M = 8192
 # Largest dense matrix the eigensolver is given: N for the M= N= K=
-# commands, 2L = 2M/p for the Hermitian embedding behind certify M= p= and
-# dft-sub.  At the limit, best of 2 on two cores without numba, `eigs M=16384
-# N=4096 K=2048` takes 3.0 s and 98 MB peak (it solves two parity blocks
-# built from the symbol, never the N x N matrix), `dft-sub M=4096 p=2` 13 s
-# and 291 MB, and `decompose M=16384 N=4096 K=2048` 15 s and 114 MB (2.7 s
-# and 51 MB at N=2048; it too solves parity blocks, read from the symbol).
+# commands.  At the limit, best of 2 on two cores without numba, `eigs
+# M=16384 N=4096 K=2048` takes 3.0 s and 98 MB peak (it solves two parity
+# blocks built from the symbol, never the N x N matrix), and `decompose
+# M=16384 N=4096 K=2048` 15 s and 114 MB (2.7 s and 51 MB at N=2048; it too
+# solves parity blocks, read from the symbol).
 MAX_DENSE_DIM = 4096
+# Largest side L = M/p of the DFT block behind certify M= p= and dft-sub,
+# whose L x L complex Gram is reduced whole.  At the limit `dft-sub M=4096
+# p=2` takes 4.9 s and 227 MB peak (best of 2, two cores, no numba).
+MAX_DFT_DIM = 2048
 # Largest N for commute, which solves B and its tridiagonal with vectors.
 # At the limit `commute M=3008 N=752 K=375` takes 2.5 s (median of 8) and
 # 79 MB peak (two cores, no numba); the fit at N=768 takes 3.2 s in process.
@@ -242,11 +245,9 @@ def _check_size(config: RunConfig) -> None:
         if config.command == "commute" and config.n > COMMUTE_MAX_N:
             raise UsageError(f"commute needs N <= {COMMUTE_MAX_N}, got {config.n}")
     if config.p is not None and config.p > 0:
-        dim = 2 * (config.m // config.p)
-        if dim > MAX_DENSE_DIM:
-            raise UsageError(
-                f"2M/p must be <= {MAX_DENSE_DIM} (the Gram's real embedding), got {dim}"
-            )
+        dim = config.m // config.p
+        if dim > MAX_DFT_DIM:
+            raise UsageError(f"M/p must be <= {MAX_DFT_DIM}, got {dim}")
 
 
 def _csv(comments: list[str], header: str, rows: list[list[str]]) -> str:

@@ -4,9 +4,9 @@ Two independent algorithms are provided on purpose: the workhorse is
 Householder reduction to tridiagonal form followed by implicit QL with
 Wilkinson shifts; a cyclic Jacobi rotation solver acts as a cross-check
 oracle on moderate sizes (its convergence theory is unconditional).
-A complex matrix's Hermitian Gram is reduced to a real symmetric one through
-the 2n x 2n embedding [[Re, -Im], [Im, Re]], whose spectrum repeats each
-eigenvalue twice; a real matrix's Gram is real symmetric already.
+A complex matrix's Hermitian Gram is reduced at its own size, by the same
+Householder code with complex reflectors (as LAPACK's ZHETRD), to a real
+tridiagonal; a real matrix's Gram is real symmetric already.
 
 The Householder reduction is blocked (LAPACK's DSYTRD scheme): panels of
 HOUSEHOLDER_BLOCK columns collect their reflectors and update the trailing
@@ -35,6 +35,8 @@ MAGNITUDE_RANGE] is solved scaled by a power of two into that range, and its
 eigenvalues are scaled back; inside it no sum of squares in Jacobi, no
 deflation bound in QL and no symmetrizing average can overflow or underflow.
 An eigenvalue beyond the largest double raises EigensolveError.
+singular_values_via_gram scales F into [1/GRAM_RANGE, GRAM_RANGE] the same
+way before it forms the Gram, so that no square overflows or underflows.
 
 QL deflates a coupling once |e_m| <= u (max |d_i| + 2 max |e_i|), u = 2^-53,
 an absolute test against a bound on ||T||_2 as in the Handbook's tql1 and
@@ -96,6 +98,10 @@ JACOBI_LARGE_THETA = 1e150
 # Inputs whose largest |entry| lies in [1/MAGNITUDE_RANGE, MAGNITUDE_RANGE]
 # are solved as they are; any other is scaled into it by a power of two.
 MAGNITUDE_RANGE = 2.0**400
+# singular_values_via_gram scales F whose largest |entry| lies outside
+# [1/GRAM_RANGE, GRAM_RANGE] by a power of two, so that its Gram's entries
+# can neither overflow nor underflow: GRAM_RANGE^2 = MAGNITUDE_RANGE.
+GRAM_RANGE = 2.0**200
 # Relative spectral floor for Gram-based singular values; squaring the
 # matrix halves the usable dynamic range, so eigenvalues this far below
 # the top are indistinguishable from zero in double precision.
@@ -132,20 +138,42 @@ class Spectrum:
         return self.values.size
 
 
-def _range_exponent(top: float) -> int:
-    """0 when top = max |entry| is 0 or within MAGNITUDE_RANGE, else the
+def _extent(arr) -> float:
+    """Largest |entry| of a real array, or of the real and imaginary parts
+    of a complex one, read where it lies; EigensolveError on a non-finite
+    entry."""
+    top = 0.0
+    for part in (arr.real, arr.imag) if np.iscomplexobj(arr) else (arr,):
+        # max and min propagate NaN
+        hi, lo = float(part.max(initial=0.0)), float(part.min(initial=0.0))
+        if not (math.isfinite(hi) and math.isfinite(lo)):
+            raise EigensolveError("matrix contains non-finite entries")
+        top = max(top, hi, -lo)
+    return top
+
+
+def _range_exponent(top: float, limit: float = MAGNITUDE_RANGE) -> int:
+    """0 when top = max |entry| is 0 or within [1/limit, limit], else the
     e with top = f 2^e, 1/2 <= f < 1, so that top 2^-e lies in [1/2, 1)."""
-    if top == 0.0 or 1.0 / MAGNITUDE_RANGE <= top <= MAGNITUDE_RANGE:
+    if top == 0.0 or 1.0 / limit <= top <= limit:
         return 0
     return math.frexp(top)[1]
+
+
+def _scale_back(values: np.ndarray, exponent: int, name: str) -> np.ndarray:
+    """values 2^exponent; EigensolveError, naming ``name``, past the
+    largest double."""
+    with np.errstate(over="ignore"):
+        values = np.ldexp(values, exponent)
+    if not np.isfinite(values).all():
+        raise EigensolveError(f"{name} exceeds the largest double")
+    return values
 
 
 def _in_range_symbol(a: SymbolMatrix) -> tuple[SymbolMatrix, int]:
     """``a``, checked finite and scaled by 2^-e into range, and e (see
     _range_exponent)."""
-    if not np.isfinite(a.symbol).all():
-        raise EigensolveError("matrix contains non-finite entries")
-    exponent = _range_exponent(float(np.abs(a.symbol).max()))
+    exponent = _range_exponent(_extent(a.symbol))
     if exponent:
         a = SymbolMatrix(np.ldexp(a.symbol, -exponent))
     return a, exponent
@@ -185,23 +213,22 @@ def _as_dense_symmetric(a, overwrite: bool = False) -> tuple[np.ndarray, int]:
         raise ParameterError(f"expected a square matrix, got shape {arr.shape}")
     if arr.size == 0:
         raise ParameterError("expected a non-empty matrix")
-    hi, lo = float(arr.max()), float(arr.min())  # max and min propagate NaN
-    if not (math.isfinite(hi) and math.isfinite(lo)):
-        raise EigensolveError("matrix contains non-finite entries")
-    scale = max(1.0, hi, -lo)
+    top = _extent(arr)
+    scale = max(1.0, top)
     asym = 0.0
     exact = True
     for rows, cols in _bands(arr):
         if np.array_equal(rows.view(np.int64), cols.view(np.int64)):
             continue  # equal bits: nothing to average here
         exact = False
-        band = rows - cols
+        with np.errstate(over="ignore"):  # inf is refused below
+            band = rows - cols
         asym = max(asym, float(np.abs(band, out=band).max()))
     if asym > SYMMETRY_TOL * scale:
         raise ParameterError(
             f"matrix is not symmetric: max |A - A^T| = {asym:.3e}"
         )
-    exponent = _range_exponent(max(hi, -lo))
+    exponent = _range_exponent(top)
     if exact and not exponent:
         if not overwrite:
             arr = arr.view()
@@ -211,14 +238,19 @@ def _as_dense_symmetric(a, overwrite: bool = False) -> tuple[np.ndarray, int]:
         arr = arr.copy()
     if exponent:  # first, so that the average cannot overflow
         np.ldexp(arr, -exponent, out=arr)
-    if exact:
-        return arr, exponent
+    if not exact:
+        _average_adjoint(arr)
+    return arr, exponent
+
+
+def _average_adjoint(arr) -> None:
+    """arr <- (arr + arr^H) / 2 in place, a band of HOUSEHOLDER_CHUNK_ROWS
+    rows at a time; the result is exactly symmetric (Hermitian)."""
     for rows, cols in _bands(arr):
-        band = rows + cols
+        band = rows + cols.conj()
         band *= 0.5
         rows[...] = band
-        cols[...] = band
-    return arr, exponent
+        cols[...] = band.conj()
 
 
 def _subtract_product(target, left, right, buf):
@@ -235,37 +267,39 @@ def _subtract_product(target, left, right, buf):
 
 
 def _householder_tridiag(a: np.ndarray, want_q: bool):
-    """Reduce a symmetric matrix to tridiagonal form via Householder reflectors.
+    """Householder reduction of a symmetric or Hermitian matrix to tridiagonal form.
 
     Returns (d, e, q): diagonal, subdiagonal (length n, last slot unused),
     and the accumulated orthogonal transform (or None).  ``a`` is
     overwritten: its strict lower triangle ends up holding the reflectors.
 
-    Blocked as in LAPACK's DSYTRD/DLATRD: within a panel of
+    Blocked as in LAPACK's DSYTRD/DLATRD (ZHETRD/ZLATRD): within a panel of
     HOUSEHOLDER_BLOCK columns the trailing matrix is left stale and the
-    reflector pairs (u, w), with H A H = A - u w^T - w u^T, are collected in
+    reflector pairs (u, w), with H A H = A - u w^H - w u^H, are collected in
     U and W.  Each column is brought up to date from the earlier pairs of
     its panel before its reflector is formed, and w is formed from the
-    stale matrix as (A u - U (W^T u) - W (U^T u)) / beta.  Once per panel
-    the trailing block takes A -= U W^T + W U^T as one matrix product,
+    stale matrix as (A u - U (W^H u) - W (U^H u)) / beta.  Once per panel
+    the trailing block takes A -= U W^H + W U^H as one matrix product,
     applied in bands of HOUSEHOLDER_CHUNK_ROWS rows.
-    Reflector u_k = x/scale + alpha e_1 with beta = u.u/2 is stored in
-    a[k+1:, k]; a zero sub-column gets no reflector (beta_k = 0).  d and e
-    come out of the same code with or without vectors; Q is accumulated
-    only afterwards, backward over the panels, each applied as
-    I - V T V^T in compact WY form (Schreiber & Van Loan, 1989).
+    Reflector u_k = x/scale + alpha e_1 with beta = u^H u / 2 is stored in
+    a[k+1:, k], alpha = ||u|| with the sign (phase, if complex) of u_1; a
+    zero sub-column gets no reflector (beta_k = 0).  Complex input is
+    reduced values only, e returned as |e| (a diagonal unitary similarity);
+    on real input conj() is a no-op.  d and e come out of the same code
+    with or without vectors; Q is accumulated only afterwards, backward over
+    the panels, each I - V T V^T in compact WY form (Schreiber & Van Loan, 1989).
     """
     n = a.shape[0]
-    e = np.zeros(n)
+    e = np.zeros(n, dtype=a.dtype)
     betas = np.zeros(n)
     nb = HOUSEHOLDER_BLOCK
     # Reflector i of a panel keeps u in column nb + i and w in column
     # nb - 1 - i, so the pairs done so far are the contiguous columns
     # [nb - i, nb + i) and the same columns reversed pair each u with its w
-    # (reversed copies: matmul is slow on negative strides).  Row r of the
-    # panel's pairs holds global row j0 + 1 + r.
-    pairs_store = np.empty((n, 2 * nb))
-    buf = np.empty((HOUSEHOLDER_CHUNK_ROWS, n))
+    # (conjugated into copies: matmul is slow on negative strides).  Row r of
+    # the panel's pairs holds global row j0 + 1 + r.
+    pairs_store = np.empty((n, 2 * nb), dtype=a.dtype)
+    buf = np.empty((HOUSEHOLDER_CHUNK_ROWS, n), dtype=a.dtype)
     panels = range(0, n - 2, nb)
     for j0 in panels:
         j1 = min(j0 + nb, n - 2)
@@ -275,7 +309,7 @@ def _householder_tridiag(a: np.ndarray, want_q: bool):
             done = slice(nb - i, nb + i)
             if i > 0:  # bring column k up to date; pairs row i - 1 is row k
                 col = a[k:, k]
-                col -= pairs[i - 1 :, done] @ pairs[i - 1, done][::-1].copy()
+                col -= pairs[i - 1 :, done] @ np.conjugate(pairs[i - 1, done][::-1])
             x = a[k + 1 :, k]
             scale = float(np.abs(x).max())
             if scale == 0.0 or float(np.abs(x[1:]).max(initial=0.0)) == 0.0:
@@ -284,25 +318,28 @@ def _householder_tridiag(a: np.ndarray, want_q: bool):
                 pairs[i:, nb - 1 - i] = 0.0
                 continue
             u = x / scale
-            alpha = math.copysign(math.sqrt(float(u @ u)), u[0])
+            norm = math.sqrt(float((u.conj() @ u).real))
+            alpha = norm * (u[0] / abs(u[0]) if u[0] else math.copysign(1.0, u[0].real))
             u[0] += alpha
-            beta = alpha * u[0]  # = u.u / 2
+            beta = (alpha.conjugate() * u[0]).real  # = u^H u / 2
             e[k] = -alpha * scale
             w = a[k + 1 :, k + 1 :] @ u
-            if i > 0:  # U (W^T u) + W (U^T u) in one product
-                w -= pairs[i:, done] @ (u @ pairs[i:, done])[::-1].copy()
+            if i > 0:  # U (W^H u) + W (U^H u) in one product
+                w -= pairs[i:, done] @ np.conjugate((u.conj() @ pairs[i:, done])[::-1])
             w /= beta
-            w -= (float(u @ w) / (2.0 * beta)) * u
+            w -= (float((u.conj() @ w).real) / (2.0 * beta)) * u
             pairs[i:, nb + i] = u
             pairs[i:, nb - 1 - i] = w
             x[:] = u
             betas[k] = beta
         # trailing block, from global row j1 = pairs row j1 - j0 - 1 on
         left = pairs[j1 - j0 - 1 :, nb - (j1 - j0) : nb + (j1 - j0)]
-        _subtract_product(a[j1:, j1:], left, left[:, ::-1].copy(), buf)
+        _subtract_product(a[j1:, j1:], left, np.conjugate(left[:, ::-1]), buf)
     if n >= 2:
         e[n - 2] = a[n - 1, n - 2]
-    d = np.diag(a).copy()  # diag returns a read-only view
+    d = np.diag(a).real.copy()  # diag returns a read-only view
+    if np.iscomplexobj(e):
+        return d, np.abs(e), None
     q = None
     if want_q:
         q = np.eye(n)
@@ -583,10 +620,7 @@ def _finish(a_sym, values, vectors, method, iterations, exponent) -> Spectrum:
             np.abs(a_sym @ vectors - vectors * values[None, :]).max(initial=0.0)
         )
     if exponent:
-        with np.errstate(over="ignore"):
-            values = np.ldexp(values, exponent)
-        if not np.isfinite(values).all():
-            raise EigensolveError("an eigenvalue exceeds the largest double")
+        values = _scale_back(values, exponent, "an eigenvalue")
         if residual is not None:
             residual = math.ldexp(residual, exponent)
     return Spectrum(
@@ -721,8 +755,11 @@ def _householder_ql(sym, blocks, want_vectors, exponent) -> Spectrum:
 
 
 def _gram_values(gram) -> np.ndarray:
-    """Eigenvalues, descending, of a private Gram matrix, which is validated
-    and reduced in place."""
+    """Eigenvalues, descending, of a private Gram matrix, validated if real
+    and made exactly Hermitian if complex, and reduced in place."""
+    if np.iscomplexobj(gram):
+        _average_adjoint(gram)
+        return _householder_ql(gram, None, False, 0).values
     gram, exponent = _as_dense_symmetric(gram, overwrite=True)
     return _householder_ql(gram, _parity_blocks(gram), False, exponent).values
 
@@ -742,18 +779,6 @@ def eigh_jacobi(a, want_vectors: bool = False) -> Spectrum:
             f"Jacobi iteration did not converge within {JACOBI_MAX_SWEEPS} sweeps"
         )
     return _finish(sym, values, vectors, "jacobi", sweeps, exponent)
-
-
-def hermitian_embedding(g: np.ndarray) -> np.ndarray:
-    """Real symmetric 2n x 2n embedding [[Re, -Im], [Im, Re]] of Hermitian g."""
-    g = np.asarray(g, dtype=np.complex128)
-    n = g.shape[0]
-    out = np.empty((2 * n, 2 * n))
-    out[:n, :n] = g.real
-    out[n:, n:] = g.real
-    np.negative(g.imag, out=out[:n, n:])
-    out[n:, :n] = g.imag
-    return out
 
 
 def sqrt_clamped(values: np.ndarray) -> np.ndarray:
@@ -785,19 +810,24 @@ def singular_values_via_gram(f: np.ndarray) -> np.ndarray:
     |eigenvalues|, whose squares go through sqrt_clamped so that the Gram
     route's noise floor still applies.  Any other real F has the real
     symmetric Gram F^T F, diagonalized directly.  A complex F has the
-    Hermitian Gram F*F, diagonalized through the real symmetric embedding,
-    whose spectrum carries each Gram eigenvalue twice; the pairs are
-    deduplicated by taking every other sorted value.
+    Hermitian Gram F^H F, made exactly Hermitian and reduced at its own
+    size by the complex Householder reduction to a real tridiagonal.  F
+    whose largest |entry| lies outside [1/GRAM_RANGE, GRAM_RANGE] is
+    solved scaled by a power of two, and sigma is scaled back.
     """
     f = np.asarray(f)
     if f.ndim != 2:
         raise ParameterError(f"expected a 2-d matrix, got shape {f.shape}")
+    if f.shape[1] == 0:
+        raise ParameterError("expected a non-empty matrix")
+    f = f.astype(np.complex128 if np.iscomplexobj(f) else np.float64, copy=False)
+    exponent = _range_exponent(_extent(f), GRAM_RANGE)
+    if exponent:
+        f = np.ldexp(np.ascontiguousarray(f).view(np.float64), -exponent).view(f.dtype)
     if np.iscomplexobj(f):
-        f = f.astype(np.complex128, copy=False)
-        gram = hermitian_embedding(f.conj().T @ f)
-        return sqrt_clamped(_gram_values(gram)[0::2])
-    f = f.astype(np.float64, copy=False)
-    if f.shape[0] == f.shape[1] and np.array_equal(f, f.T):
-        squares = np.square(eigh_householder_ql(f).values)
-        return sqrt_clamped(np.sort(squares)[::-1])
-    return sqrt_clamped(_gram_values(f.T @ f))
+        squares = _gram_values(f.conj().T @ f)
+    elif f.shape[0] == f.shape[1] and np.array_equal(f, f.T):
+        squares = np.sort(np.square(eigh_householder_ql(f).values))[::-1]
+    else:
+        squares = _gram_values(f.T @ f)
+    return _scale_back(sqrt_clamped(squares), exponent, "a singular value")

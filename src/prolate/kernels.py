@@ -161,7 +161,10 @@ def dft_submatrix(
 
     Keeps rows row_offset..row_offset+L-1 and columns col_offset..
     col_offset+L-1 with indices taken mod m, so consecutive blocks wrap
-    around the period.  Only the block is built, from phases j*k mod m.
+    around the period.  Only the block is built: entry (j, k) is read at
+    its phase j*k mod m from the table of exp(-2 pi i t / m) / sqrt(m),
+    t = 0..m-1, or, for a block of fewer than m entries, computed from its
+    phase by the same expression, so both ways give the same bits.
     The offsets are reduced mod m exactly, and m is at most
     isqrt(2**63 - 1), so every index and phase j*k fits in int64.
     """
@@ -177,4 +180,6 @@ def dft_submatrix(
     rows = (row_offset + np.arange(length)) % m
     cols = (col_offset + np.arange(length)) % m
     phase = np.outer(rows, cols) % m
-    return np.exp(-2j * np.pi * phase / m) / math.sqrt(m)
+    direct = m > phase.size  # the table would outgrow the block
+    values = np.exp(-2j * np.pi * (phase if direct else np.arange(m)) / m) / math.sqrt(m)
+    return values if direct else values[phase]

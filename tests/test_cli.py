@@ -15,6 +15,7 @@ from prolate.cli import (
     _KEYS,
     COMMUTE_MAX_N,
     MAX_DENSE_DIM,
+    MAX_DFT_DIM,
     SPECTRUM_EPS_FLOOR,
     SWEEP_MAX_M,
     UsageError,
@@ -83,11 +84,12 @@ def test_dense_size_limits():
             parse_args(argv + [f"N={top + 1}"])
     with pytest.raises(UsageError, match=str(top)):
         parse_args(["eigs", "M=400000", "N=200000", "K=1"])
+    top = MAX_DFT_DIM
     for command in ("certify", "dft-sub"):
-        # the solver sees the 2L x 2L embedding, L = M/p
-        assert parse_args([command, f"M={top // 2 * 4}", "p=4"]).p == 4
-        with pytest.raises(UsageError, match=str(top)):
-            parse_args([command, f"M={(top // 2 + 1) * 4}", "p=4"])
+        # the solver sees the L x L complex Gram, L = M/p
+        assert parse_args([command, f"M={top * 4}", "p=4"]).p == 4
+        with pytest.raises(UsageError, match=f"M/p must be <= {top}, got {top + 1}"):
+            parse_args([command, f"M={(top + 1) * 4}", "p=4"])
     assert parse_args(["certify", "M=64", "p=0"]).p == 0  # left to the library
 
 

@@ -20,6 +20,12 @@ def _random_symmetric(rng, n, scale=1.0):
     return 0.5 * (a + a.T)
 
 
+def _hermitian_embedding(g):
+    # real symmetric 2n x 2n [[Re, -Im], [Im, Re]] of a Hermitian g: each
+    # eigenvalue of g appears twice
+    return np.block([[g.real, -g.imag], [g.imag, g.real]])
+
+
 @pytest.mark.parametrize("solver", [pr.eigh_householder_ql, pr.eigh_jacobi])
 def test_trivial_spectra(solver):
     spec = solver(np.eye(5))
@@ -133,8 +139,9 @@ def test_exhausted_iteration_budget_raises(monkeypatch):
 
 
 def test_singular_values_reject_non_matrix():
-    with pytest.raises(pr.ParameterError):
-        pr.singular_values_via_gram(np.ones(4))
+    for f in (np.ones(4), np.ones((3, 0)), np.ones((3, 0), dtype=complex)):
+        with pytest.raises(pr.ParameterError):
+            pr.singular_values_via_gram(f)
 
 
 def test_rejects_bad_input():
@@ -257,11 +264,13 @@ def test_values_only_symbol_solve_allocates_less_than_the_matrix():
     assert _peak_bytes(lambda: pr.eigh_householder_ql(block)) < 8 * n * n
 
 
-def test_gram_embedding_is_reduced_in_place():
-    # never two 2L x 2L real arrays at once: the embedding is not copied
+def test_complex_gram_is_reduced_at_its_own_size():
+    # two L x L complex arrays at the Gram product (the Gram and the
+    # conjugate of F), and the Gram plus band buffers while it is reduced;
+    # a 2L x 2L real embedding alone would be two more
     f = pr.dft_submatrix(1024, 4)
-    dim = 2 * f.shape[1]
-    assert _peak_bytes(lambda: pr.singular_values_via_gram(f)) < 2 * 8 * dim * dim
+    size = 16 * f.shape[1] ** 2
+    assert _peak_bytes(lambda: pr.singular_values_via_gram(f)) < 2.5 * size
 
 
 def test_any_layout_is_solved_where_it_lies_with_the_same_bits():
@@ -388,7 +397,7 @@ def test_hermitian_embedding_doubles_spectrum():
     rng = np.random.default_rng(9)
     g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     g = g @ g.conj().T
-    emb = pr.hermitian_embedding(g)
+    emb = _hermitian_embedding(g)
     values = pr.eigh_householder_ql(emb).values
     assert np.abs(values[0::2] - values[1::2]).max() <= 1e-10 * (1 + values[0])
 
@@ -403,13 +412,85 @@ def test_singular_values_unitary_and_single_column():
 
 
 def test_singular_values_dual_solver_route():
-    # same Gram embedding through both in-house solvers
+    # the complex Gram reduced at its own size by Householder and QL,
+    # against Jacobi on its 2L real embedding, which carries every Gram
+    # eigenvalue twice; the wide F has four exact zeros
     rng = np.random.default_rng(17)
-    f = rng.standard_normal((10, 6)) + 1j * rng.standard_normal((10, 6))
-    emb = pr.hermitian_embedding(f.conj().T @ f)
-    ql = pr.eigh_householder_ql(emb).values
-    ja = pr.eigh_jacobi(emb).values
-    assert np.abs(ql - ja).max() <= 1e-10 * (1.0 + np.abs(ql).max())
+    for shape in ((10, 6), (6, 10)):
+        f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ql = pr.singular_values_via_gram(f)
+        ja = pr.eigh_jacobi(_hermitian_embedding(f.conj().T @ f)).values
+        assert np.abs(ja[0::2] - ja[1::2]).max() <= 1e-12 * ja[0]
+        assert np.abs(ql**2 - ja[0::2]).max() <= 1e-12 * ja[0], shape
+
+
+def _complex_inputs():
+    rng = np.random.default_rng(43)
+    for shape in ((40, 25), (25, 40), (30, 30)):
+        yield f"random-{shape}", rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # DFT blocks of even and odd L, the whole DFT and a non-power-of-two m
+    for args in ((64, 4, 3, 7), (45, 5), (16, 1), (999, 3), (1024, 4, 3, 7)):
+        yield f"dft-{args}", pr.dft_submatrix(*args)
+
+
+@pytest.mark.parametrize(
+    "f", [pytest.param(f, id=label) for label, f in _complex_inputs()]
+)
+def test_complex_singular_values_match_lapack(f):
+    # sigma^2 is snapped to zero below GRAM_NOISE_FLOOR times the largest;
+    # every other sigma agrees with LAPACK's
+    got = pr.singular_values_via_gram(f)
+    want = np.linalg.svd(f, compute_uv=False)
+    want = np.concatenate((want, np.zeros(f.shape[1] - want.size)))
+    kept = got > 0.0
+    assert np.abs(got[kept] - want[kept]).max() <= 1e-11 * want[0]
+    level = GRAM_NOISE_FLOOR * want[0] ** 2
+    assert (want[~kept] ** 2 <= level + 1e-13 * want[0] ** 2).all()
+    assert (want[kept] ** 2 >= level - 1e-13 * want[0] ** 2).all()
+
+
+def _gram_route_inputs():
+    rng = np.random.default_rng(47)
+    yield "symmetric", _random_symmetric(rng, 7)
+    yield "general", rng.standard_normal((9, 6))
+    yield "complex", rng.standard_normal((9, 6)) + 1j * rng.standard_normal((9, 6))
+    yield "flat", np.ones((2, 2))  # singular values 2 and 0
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+@pytest.mark.parametrize(
+    "f", [pytest.param(f, id=label) for label, f in _gram_route_inputs()]
+)
+def test_gram_routes_scale_extreme_input(f, scale):
+    # each route would square 1e200 past the largest double, or 1e-200
+    # below the smallest, if F were not scaled by a power of two first;
+    # warnings are errors here
+    want = np.linalg.svd(scale * f, compute_uv=False)
+    got = pr.singular_values_via_gram(scale * f)
+    assert np.abs(got - want).max() <= 1e-13 * want[0]
+
+
+def test_gram_routes_rescale_by_an_exact_power_of_two():
+    # F with largest |entry| in [1/2, 1) is solved as it is, and F 2^k out
+    # of range is scaled back to it exactly, so sigma is exactly 2^k times
+    for _, f in _gram_route_inputs():
+        f = f / (2.0 * np.abs(f).max())
+        want = pr.singular_values_via_gram(f)
+        for k in (-900, -300, 300, 900):
+            # 2^k times each real and imaginary part
+            got = pr.singular_values_via_gram(np.ldexp(f.view(np.float64), k).view(f.dtype))
+            assert np.array_equal(got, np.ldexp(want, k)), k
+    with pytest.raises(pr.EigensolveError, match="singular value exceeds"):
+        pr.singular_values_via_gram(np.full((3, 2), 1.5e308))
+    with pytest.raises(pr.EigensolveError, match="non-finite"):
+        pr.singular_values_via_gram(np.array([[1.0, 1j * np.inf]]))
+
+
+@pytest.mark.parametrize("solver", [pr.eigh_householder_ql, pr.eigh_jacobi])
+def test_overflowing_asymmetry_is_refused_without_a_warning(solver):
+    # A - A^T overflows to inf, which is refused like any other asymmetry
+    with pytest.raises(pr.ParameterError, match="not symmetric: .* = inf"):
+        solver(np.array([[0.0, 1e308], [-1e308, 0.0]]))
 
 
 def _rank(sigma):
@@ -417,8 +498,8 @@ def _rank(sigma):
 
 
 def test_singular_values_real_gram_matches_complex_embedding():
-    # a real matrix takes the n x n real Gram; its complex cast, the 2n
-    # Hermitian embedding.  Both diagonalize the same Gram, so the squared
+    # a real matrix takes the n x n real Gram; its complex cast, the complex
+    # Householder route.  Both diagonalize the same Gram, so the squared
     # values agree to rounding on the Gram scale sigma_0^2 (sigma itself
     # inherits u sigma_0^2 / sigma_i), and the rank counts match.
     parts = pr.lowrank_tail_split(pr.ProlateParams(M=1024, N=256, K=128), 1e-6)
@@ -850,7 +931,7 @@ def _values_only_inputs():
     ).dense()
     # the 2L embedding carries every Gram eigenvalue as an exact pair
     f = pr.dft_submatrix(64, 4, 3, 7)
-    yield "dft-64-4-3-7-embedding", es.hermitian_embedding(f.conj().T @ f)
+    yield "dft-64-4-3-7-embedding", _hermitian_embedding(f.conj().T @ f)
 
 
 def test_values_only_ql_matches_scalar_reference_bitwise():
@@ -869,7 +950,7 @@ def _clustered_inputs():
     ).dense()
     yield "sinc-512-0.25", pr.sinc_prolate(512, 0.25).dense()
     f = pr.dft_submatrix(1024, 4)
-    yield "dft-1024-4-embedding", es.hermitian_embedding(f.conj().T @ f)
+    yield "dft-1024-4-embedding", _hermitian_embedding(f.conj().T @ f)
 
 
 def test_ql_values_match_lapack_on_clustered_spectra():
@@ -1033,6 +1114,34 @@ def test_block_diagonal_reduction_keeps_blocks_apart():
     for reduce in (es._householder_tridiag, _householder_tridiag_unblocked):
         _, e, _ = reduce(a.copy(), False)
         assert np.array_equal(e[boundaries], np.zeros(boundaries.size))
+
+
+def _random_hermitian(rng, n):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return 0.5 * (a + a.conj().T)
+
+
+def test_complex_reduction_matches_lapack():
+    # Hermitian input, values only: the real tridiagonal (d, |e|) keeps the
+    # eigenvalues; already tridiagonal columns get no reflector
+    rng = np.random.default_rng(53)
+    inputs = [_random_hermitian(rng, n) for n in (1, 2, 3, NB + 1, 2 * NB + 3)]
+    n = 2 * NB + 3
+    off = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+    tridiagonal = np.diag(rng.standard_normal(n)) + np.diag(off, -1) + np.diag(off.conj(), 1)
+    blocks = np.zeros((n, n), dtype=complex)
+    blocks[:NB, :NB] = _random_hermitian(rng, NB)
+    blocks[NB:, NB:] = _random_hermitian(rng, n - NB)
+    for a in inputs + [tridiagonal, blocks]:
+        d, e, q = es._householder_tridiag(a.copy(), False)
+        assert q is None and d.dtype == e.dtype == np.float64
+        want = np.linalg.eigvalsh(a)[::-1]
+        assert np.abs(_values(d, e) - want).max() <= 2 * REDUCTION_RATIO * _unit(a)
+    d, e, _ = es._householder_tridiag(tridiagonal.copy(), False)
+    assert np.array_equal(d, np.diag(tridiagonal).real)
+    assert np.array_equal(e[: n - 1], np.abs(off))
+    _, e, _ = es._householder_tridiag(blocks.copy(), False)
+    assert e[NB - 1] == 0.0
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

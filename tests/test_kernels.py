@@ -243,6 +243,36 @@ def test_dft_submatrix_wraps_cyclically():
     assert np.array_equal(sub, pr.dft_submatrix(8, 2, 14, -3))
 
 
+def _dft_direct(m, p, row, col):
+    """The block's entries straight from the formula, one exp per entry."""
+    length = m // p
+    rows = (row % m + np.arange(length)) % m
+    cols = (col % m + np.arange(length)) % m
+    phase = np.outer(rows, cols) % m
+    return np.exp(-2j * np.pi * phase / m) / math.sqrt(m)
+
+
+@pytest.mark.parametrize(
+    "m,p,row,col",
+    [
+        (1024, 4, 3, 7),
+        (2048, 8, 0, 0),
+        (4096, 2, 0, 0),
+        (999, 3, 0, 0),
+        (45, 5, 2, 44),  # odd L
+        (64, 1, 0, 0),  # the whole DFT matrix
+        (1024, 4, 5000, -3),  # offsets past m and below 0
+        (7, 7, 3, 10),  # one entry, fewer than m: no table
+        (10**6, 10**4, 123_456, 999_999),  # 10^4 entries, fewer than m
+    ],
+)
+def test_dft_submatrix_matches_direct_formula_bitwise(m, p, row, col):
+    got = pr.dft_submatrix(m, p, row, col)
+    want = _dft_direct(m, p, row, col)
+    assert got.shape == want.shape == (m // p, m // p)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_dft_submatrix_rejects_non_divisor():
     with pytest.raises(pr.ParameterError):
         pr.dft_submatrix(8, 3)
@@ -303,7 +333,7 @@ def test_public_surface():
     for name in pr.__all__:
         assert getattr(pr, name) is not None, name
     # the lowrank and commuting names are bound lazily, yet listed as before
-    assert len(pr.__all__) == 31
+    assert len(pr.__all__) == 30
     assert set(pr.__all__) <= set(dir(pr))
     namespace = {}
     exec("from prolate import *", namespace)
@@ -311,7 +341,7 @@ def test_public_surface():
     with pytest.raises(AttributeError, match="no_such_name"):
         pr.no_such_name
     removed = {"EtaZetaTable", "bandlimit_index_set", "dft_matrix",
-               "dirichlet_entry", "partial_fourier", "sampled_exponential",
-               "tail_term"}
+               "dirichlet_entry", "hermitian_embedding", "partial_fourier",
+               "sampled_exponential", "tail_term"}
     assert not removed & set(pr.__all__)
     assert not any(hasattr(pr, name) for name in removed)
