@@ -13,9 +13,10 @@ Truncating the series after R terms leaves a matrix of rank at most 4R
 maximum absolute row sum is certified by a geometric-series bound.  Each
 term is even in k, so the truncated part is a symmetric Toeplitz matrix
 kept, like the two kernels, as its symbol at offsets 0..N-1.  This
-module builds that symbol, certifies the tail, and runs the numeric
-effective-rank check of the sinc-kernel matrix against its partial
-Fourier projector.
+module builds that symbol, certifies the tail, counts the rank of the
+truncated part in the span of its 4R factor columns (no N x N solve), and
+runs the numeric effective-rank check of the sinc-kernel matrix against
+its partial Fourier projector.
 """
 from __future__ import annotations
 
@@ -26,7 +27,12 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import _check_epsilon
-from .eigensolve import eigh_householder_ql, singular_values_via_gram
+from .eigensolve import (
+    HOUSEHOLDER_CHUNK_ROWS,
+    EigensolveError,
+    eigh_householder_ql,
+    singular_values_via_gram,
+)
 from .kernels import (
     ParameterError,
     ProlateParams,
@@ -38,7 +44,10 @@ from .kernels import (
 
 # A split is certified when its tail takes at most eps/TAIL_SHARE in max
 # row sum (eps/(TAIL_SHARE*N) per entry) and its low-rank part has at most
-# 4R singular values above RANK_CUT times the largest.
+# 4R singular values above RANK_CUT times the largest.  The Gram noise
+# floor zeroes those below about 3.2e-5 times the largest first, so that
+# floor is the cut in effect; RANK_CUT also bounds twice the part's
+# distance from the span of its factors.
 TAIL_SHARE = 16.0
 RANK_CUT = 1e-10
 
@@ -190,8 +199,14 @@ class SplitCertificate:
     """Verdict on one split, measured against the kernel difference itself.
 
     ``row_sum`` and ``entry`` are the maximum absolute row sum and entry of
-    (periodic - sinc) minus the low-rank part; ``rank`` counts singular
-    values of the low-rank part above RANK_CUT times the largest.
+    (periodic - sinc) minus the low-rank part L.  ``rank`` counts the
+    singular values of L, measured in the span of its 4R factor columns
+    (:func:`certify_lowrank_split`): those whose squares clear the
+    GRAM_NOISE_FLOOR of 1e-9 times the largest square, so those above about
+    3.2e-5 times the largest; RANK_CUT (1e-10) lies below that floor.
+    ``range_residual`` is rho = ||(I - Q Q^T) L||_F for the orthonormal
+    basis Q of that span: every singular value of L lies within 2 rho of
+    one that was counted, or of 0.
     """
 
     epsilon: float
@@ -201,6 +216,7 @@ class SplitCertificate:
     tail_bound: float
     row_sum: float
     entry: float
+    range_residual: float
 
     @property
     def passed(self) -> bool:
@@ -211,14 +227,91 @@ class SplitCertificate:
         )
 
 
+def _orthonormal_basis(columns: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the columns of the n x c ``columns``.
+
+    Classical Gram-Schmidt run twice: each column, scaled by its largest
+    |entry|, is projected off the rows kept so far, then projected again.
+    A column whose second pass keeps less than 1/sqrt(2) of the norm left
+    by the first lies in their span to rounding and is dropped (the
+    Kahan-Parlett test; Parlett, The Symmetric Eigenvalue Problem, section
+    6.9; Giraud, Langou and Rozloznik, Comput. Math. Appl. 50, 2005).  At
+    most n rows are kept.
+    """
+    n, count = columns.shape
+    basis = np.empty((min(n, count), n))
+    kept = 0
+    for column in columns.T:
+        if kept == basis.shape[0]:
+            break
+        peak = np.abs(column).max()
+        if peak == 0.0:
+            continue
+        done = basis[:kept]
+        first = column / peak
+        first -= done.T @ (done @ first)
+        second = first - done.T @ (done @ first)
+        square = second @ second
+        if 2.0 * square >= first @ first > 0.0:
+            basis[kept] = second / math.sqrt(square)
+            kept += 1
+    return basis[:kept]
+
+
+def _range_rank(parts: LowRankParts) -> tuple[int, float]:
+    """Rank of the low-rank part L, counted in the span of its factors, and
+    rho = ||(I - Q Q^T) L||_F.
+
+    L = A X A^T with A = [sin_factor, cos_factor], so range(L) lies in
+    span(A).  With Q an orthonormal basis of span(A), L Q is formed from the
+    symbol's read-only view, and L_p = Q^T L Q, averaged with its transpose
+    so that it is exactly symmetric, goes to singular_values_via_gram,
+    whose floor on the squares counts the rank as it did for L itself.  As
+    ||L - Q L_p Q^T||_2 <= 2 rho, EigensolveError is raised when 2 rho
+    exceeds RANK_CUT times the largest singular value: the basis then
+    misses L, and the count is not L's.  Both products go a band of
+    HOUSEHOLDER_CHUNK_ROWS rows at a time, so no N x N temporary is made.
+    """
+    lowrank = SymbolMatrix(parts.symbol).view()
+    basis = _orthonormal_basis(np.hstack((parts.sin_factor, parts.cos_factor)))
+    n = lowrank.shape[0]
+    step = HOUSEHOLDER_CHUNK_ROWS
+    bands = [slice(r0, min(r0 + step, n)) for r0 in range(0, n, step)]
+    image = np.empty((n, basis.shape[0]))  # L Q
+    for rows in bands:
+        image[rows] = lowrank[rows] @ basis.T
+    buf = np.empty((bands[0].stop, n))
+    square = 0.0
+    for rows in bands:  # (I - Q Q^T) L = L - Q (L Q)^T, L being symmetric
+        residual = buf[: rows.stop - rows.start]
+        np.matmul(basis[:, rows].T, image.T, out=residual)
+        np.subtract(lowrank[rows], residual, out=residual)
+        square += float(np.vdot(residual, residual))
+    rho = math.sqrt(square)
+    top, rank = 0.0, 0
+    if basis.size:
+        projected = basis @ image
+        sigma = singular_values_via_gram(0.5 * (projected + projected.T))
+        top = sigma[0]
+        rank = int((sigma > RANK_CUT * top).sum()) if top > 0.0 else 0
+    if 2.0 * rho > RANK_CUT * top:
+        raise EigensolveError(
+            f"the low-rank part lies {rho:.3e} outside the span of its factors,"
+            f" above RANK_CUT times its largest singular value {top:.3e}"
+        )
+    return rank, rho
+
+
 def certify_lowrank_split(
     params: ProlateParams, epsilons, order: int | None = None
 ) -> list[SplitCertificate]:
     """Split (periodic - sinc) at each eps and certify the split numerically.
 
     Every eps and order is checked before any work.  Each eps then gets
-    :func:`lowrank_tail_split` (at ``order`` if given) and the residual and
-    rank measurements that :class:`SplitCertificate` judges.
+    :func:`lowrank_tail_split` (at ``order`` if given), the residual
+    measured from the symbols, and the rank of the low-rank part counted in
+    the 4R-column span of its factors (:func:`_range_rank`): an O(N^2 R)
+    count, with no N x N solve, that :class:`SplitCertificate` judges.
     """
     epsilons = [_check_epsilon(epsilon) for epsilon in epsilons]
     orders = [_split_plan(params, epsilon, order)[0] for epsilon in epsilons]
@@ -227,17 +320,17 @@ def certify_lowrank_split(
     for epsilon, split_order in zip(epsilons, orders):
         parts = lowrank_tail_split(params, epsilon, order=split_order)
         residual = np.abs(diff - parts.symbol)
-        sigma = singular_values_via_gram(SymbolMatrix(parts.symbol).view())
-        top = sigma[0] if sigma.size else 0.0
+        rank, rho = _range_rank(parts)
         certificates.append(
             SplitCertificate(
                 epsilon=parts.epsilon,
                 n=params.N,
                 order=parts.order,
-                rank=int((sigma > RANK_CUT * top).sum()) if top > 0.0 else 0,
+                rank=rank,
                 tail_bound=parts.tail_bound,
                 row_sum=float(SymbolMatrix(residual).view().sum(axis=1).max()),
                 entry=float(residual.max()),
+                range_residual=rho,
             )
         )
     return certificates

@@ -418,6 +418,74 @@ def test_decompose_pass_and_forced_failure(capsys):
     assert rows[0].endswith(",false")
 
 
+_SPLIT_HEAD = "# low-rank + certified-tail split of (periodic - sinc) prolate kernels\n"
+_FOUR_EPS = (
+    "# epsilon per row: 1.0000000000000000e-03,9.9999999999999995e-07,"
+    "1.0000000000000001e-09,9.9999999999999998e-13\n"
+)
+_SPLIT_COLUMNS = "R,rank_L2_certified,tail_bound,row_sum_residual,pass\n"
+
+
+def _split_report(mnk, eps_line, rows):
+    return _SPLIT_HEAD + mnk + "\n" + eps_line + _SPLIT_COLUMNS + "".join(r + "\n" for r in rows)
+
+
+# stdout and exit code of decompose when the rank of the low-rank part came
+# from a solve of its N x N matrix; no column depends on BLAS rounding
+@pytest.mark.parametrize("argv, code, text", [
+    ("M=1024 N=256 K=128", 0, _split_report("# M=1024 N=256 K=128", _FOUR_EPS, [
+        "3,8,1.0361649940878604e-05,7.6674346387954092e-07,true",
+        "5,8,4.0475195081557047e-08,1.9647641070367136e-09,true",
+        "8,8,9.8816394242082633e-12,3.1125455458958468e-13,true",
+        "10,8,3.8600154000813529e-14,1.0578697677312179e-15,true",
+    ])),
+    ("M=512 N=128 K=64 eps=1e-3,1e-6", 0, _split_report(
+        "# M=512 N=128 K=64",
+        "# epsilon per row: 1.0000000000000000e-03,9.9999999999999995e-07\n",
+        [
+            "3,8,1.0361649940878604e-05,7.4283466312362950e-07,true",
+            "5,8,4.0475195081557047e-08,1.8717753336066357e-09,true",
+        ],
+    )),
+    ("M=8192 N=2048 K=1024", 0, _split_report("# M=8192 N=2048 K=1024", _FOUR_EPS, [
+        "3,8,1.0361649940878604e-05,7.8790549796863759e-07,true",
+        "5,8,4.0475195081557047e-08,2.0474992794648314e-09,true",
+        "8,8,9.8816394242082633e-12,3.3143554517173092e-13,true",
+        "10,8,3.8600154000813529e-14,1.1873443886026174e-15,true",
+    ])),
+    # the size limit; eps=1e-12 fails its per-entry check (ROADMAP item 7)
+    ("M=16384 N=4096 K=2048", 1, _split_report("# M=16384 N=4096 K=2048", _FOUR_EPS, [
+        "3,8,1.0361649940878604e-05,7.8942524390342310e-07,true",
+        "5,8,4.0475195081557047e-08,2.0534535532450528e-09,true",
+        "8,8,9.8816394242082633e-12,3.3289924014290738e-13,true",
+        "10,8,3.8600154000813529e-14,1.1981280235319038e-15,false",
+    ])),
+    # no factor columns: rank 0 without a solve
+    ("M=64 N=16 K=7 order=0 eps=1e-3", 1, _split_report(
+        "# M=64 N=16 K=7",
+        "# epsilon per row: 1.0000000000000000e-03\n",
+        ["0,0,4.2441318157838762e-02,1.0660294842907101e-02,false"],
+    )),
+    # 4R = 4 columns for N = 16 rows
+    ("M=64 N=16 K=7 order=1", 1, _split_report(
+        "# M=64 N=16 K=7", _FOUR_EPS,
+        ["1,4,2.6525823848649226e-03,3.7579187832990316e-04,false"] * 4,
+    )),
+])
+def test_decompose_report_bytes_are_pinned(argv, code, text, capsys):
+    assert main(["decompose", *argv.split()]) == code
+    assert capsys.readouterr() == (text, "")
+
+
+def test_decompose_exits_3_when_the_basis_misses_the_lowrank_part(monkeypatch, capsys):
+    basis = prolate.lowrank._orthonormal_basis
+    monkeypatch.setattr(prolate.lowrank, "_orthonormal_basis", lambda columns: basis(columns)[1:])
+    assert main(["decompose", "M=1024", "N=256", "K=128", "eps=1e-3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "outside the span of its factors" in err
+
+
 def test_commute_report(capsys):
     assert main(["commute", "M=64", "N=16", "K=7"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

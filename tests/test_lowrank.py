@@ -186,20 +186,6 @@ def test_split_evaluates_each_eta_once(monkeypatch):
     assert calls == [2, 4, 6, 8, 10]
 
 
-def test_split_rank_certificate():
-    # the certificate's rank (sigma = |lambda| of the symmetric low-rank part)
-    # against an independent count: LAPACK's SVD with the same noise snap
-    (cert,) = pr.certify_lowrank_split(PARAMS, [1e-6])
-    parts = pr.lowrank_tail_split(PARAMS, 1e-6)
-    squares = np.linalg.svd(pr.SymbolMatrix(parts.symbol).dense(), compute_uv=False) ** 2
-    assert squares[0] > 0.0
-    squares[squares < pr.eigensolve.GRAM_NOISE_FLOOR * squares[0]] = 0.0
-    sigma = np.sqrt(squares)
-    assert cert.order == parts.order
-    assert 0 < cert.rank <= 4 * parts.order
-    assert cert.rank == int((sigma > pr.lowrank.RANK_CUT * sigma[0]).sum())
-
-
 def test_split_with_undersized_order_violates_certificate():
     # the printed-formula order is too small to certify the eps/16 tail
     eps = 1e-3
@@ -285,17 +271,100 @@ def test_split_residual_from_symbols_matches_dense_bitwise(params):
 
 
 def test_split_certificate_never_builds_the_lowrank_matrix():
-    # the parts keep only the symbol, and the rank is measured on its
-    # read-only view: two half-size parity blocks, no N x N copy
-    n = 512
-    params, certify = pr.ProlateParams(2048, n, 256), pr.certify_lowrank_split
+    # the parts keep only the symbol, and the rank is measured in the span
+    # of the factors: L Q and (I - Q Q^T) L go a band of rows at a time
+    n = 1024
+    params, certify = pr.ProlateParams(4 * n, n, n // 2), pr.certify_lowrank_split
     tracemalloc.start()
     try:
         certify(params, [1e-6])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * 8 * n * n
+    assert peak < 0.5 * 8 * n * n
+
+
+DEFAULT_EPS = (1e-3, 1e-6, 1e-9, 1e-12)
+
+
+# 4R >= N at (64, 16, 7), (8, 2, 1) and (10, 4, 1)
+@pytest.mark.parametrize("mnk", [
+    (1024, 256, 128), (512, 128, 64), (64, 16, 7), (8, 2, 1), (10, 4, 1),
+    (1000, 333, 77), (999, 100, 20), (2048, 256, 128),
+], ids=lambda mnk: "-".join(map(str, mnk)))
+def test_split_rank_in_the_factor_span_matches_lapack(mnk):
+    # the certificate's rank against an independent count: LAPACK's SVD of
+    # the dense low-rank part with the same noise snap
+    params = pr.ProlateParams(*mnk)
+    for cert in pr.certify_lowrank_split(params, DEFAULT_EPS):
+        parts = pr.lowrank_tail_split(params, cert.epsilon)
+        assert cert.order == parts.order
+        lowrank = pr.SymbolMatrix(parts.symbol).dense()
+        sigma = np.linalg.svd(lowrank, compute_uv=False)
+        squares = sigma**2
+        assert squares[0] > 0.0
+        squares[squares < pr.eigensolve.GRAM_NOISE_FLOOR * squares[0]] = 0.0
+        snapped = np.sqrt(squares)
+        assert 0 < cert.rank <= 4 * cert.order
+        assert cert.rank == int((snapped > pr.lowrank.RANK_CUT * snapped[0]).sum())
+        columns = np.hstack((parts.sin_factor, parts.cos_factor))
+        basis = pr.lowrank._orthonormal_basis(columns)
+        assert 0 < len(basis) <= min(params.N, 4 * cert.order)
+        assert np.abs(basis @ basis.T - np.eye(len(basis))).max() <= 1e-14
+        # Weyl: ||L - Q L_p Q^T||_2 <= 2 rho, so each sigma of L lies within
+        # 2 rho of the one of L_p, padded with zeros, at its index; the
+        # slack covers the rounding of the two LAPACK SVDs
+        projected = np.zeros(sigma.size)
+        projected[: len(basis)] = np.linalg.svd(basis @ lowrank @ basis.T, compute_uv=False)
+        slack = 4 * params.N * np.finfo(float).eps * sigma[0]
+        assert np.abs(sigma - projected).max() <= 2.0 * cert.range_residual + slack
+        assert 2.0 * cert.range_residual <= pr.lowrank.RANK_CUT * sigma[0]
+
+
+def test_split_rank_never_solves_an_n_by_n_matrix(monkeypatch):
+    shapes = []
+    solve = pr.lowrank.singular_values_via_gram
+    monkeypatch.setattr(
+        pr.lowrank, "singular_values_via_gram", lambda f: shapes.append(f.shape) or solve(f)
+    )
+    certs = pr.certify_lowrank_split(PARAMS, DEFAULT_EPS)
+    assert all(4 * cert.order < PARAMS.N for cert in certs)
+    assert shapes == [(4 * cert.order, 4 * cert.order) for cert in certs]
+
+
+@pytest.mark.parametrize("params,eps,order", [
+    (pr.ProlateParams(M=64, N=16, K=7), 1e-3, 0),
+    (pr.ProlateParams(M=1024, N=64, K=128), 0.4, None),  # certified order 0
+])
+def test_split_without_factor_columns_has_rank_zero_and_no_solve(monkeypatch, params, eps, order):
+    calls = []
+    monkeypatch.setattr(pr.lowrank, "singular_values_via_gram", calls.append)
+    (cert,) = pr.certify_lowrank_split(params, [eps], order=order)
+    assert (cert.order, cert.rank, cert.range_residual) == (0, 0, 0.0)
+    assert cert.passed == (cert.row_sum <= eps / 16.0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("keep", [slice(1, None), slice(0, 0)])
+def test_split_rank_refuses_a_basis_that_misses_the_lowrank_part(monkeypatch, keep):
+    # without the sin(2 pi W k) direction, or with no direction at all, the
+    # projected count would not be L's: an error, never a verdict
+    basis = pr.lowrank._orthonormal_basis
+    monkeypatch.setattr(pr.lowrank, "_orthonormal_basis", lambda columns: basis(columns)[keep])
+    with pytest.raises(pr.EigensolveError, match="outside the span of its factors"):
+        pr.certify_lowrank_split(PARAMS, [1e-6])
+
+
+def test_orthonormal_basis_drops_dependent_and_zero_columns():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((6, 2))
+    columns = np.column_stack((a[:, 0], np.zeros(6), 3.0 * a[:, 0] - a[:, 1], a[:, 1]))
+    basis = pr.lowrank._orthonormal_basis(columns)
+    assert basis.shape == (2, 6)
+    assert np.abs(basis @ basis.T - np.eye(2)).max() <= 1e-15
+    assert np.abs(a - basis.T @ (basis @ a)).max() <= 1e-14
+    # at most n rows, however many columns: the basis of a full span
+    assert pr.lowrank._orthonormal_basis(rng.standard_normal((3, 8))).shape == (3, 3)
 
 
 @pytest.mark.parametrize("params", [PARAMS, pr.ProlateParams(M=2048, N=256, K=128)])
