@@ -4,9 +4,10 @@ Two independent algorithms are provided on purpose: the workhorse is
 Householder reduction to tridiagonal form followed by implicit QL with
 Wilkinson shifts; a cyclic Jacobi rotation solver acts as a cross-check
 oracle on moderate sizes (its convergence theory is unconditional).
-A complex matrix's Hermitian Gram is reduced at its own size, by the same
-Householder code with complex reflectors (as LAPACK's ZHETRD), to a real
-tridiagonal; a real matrix's Gram is real symmetric already.
+The solvers take real input only.  singular_values_via_gram reduces the
+Gram F^H F of any F that is not real symmetric at its own size, by the
+same Householder code, with complex reflectors (as LAPACK's ZHETRD) when F
+is complex, to a real tridiagonal.
 
 The Householder reduction is blocked (LAPACK's DSYTRD scheme): panels of
 HOUSEHOLDER_BLOCK columns collect their reflectors and update the trailing
@@ -27,8 +28,8 @@ from a read-only strided view of its symbol, so no n x n matrix is built
 unless vectors, and with them the residual, are wanted.  An array input of
 any layout is validated read-only where it lies and never written; only
 what the reduction overwrites is copied, C-ordered (the two blocks, or one
-working matrix), and a Gram matrix that singular_values_via_gram builds
-for itself is reduced in place.
+working matrix).  A Gram matrix that singular_values_via_gram builds for
+itself is reduced in place, whole.
 
 A matrix whose largest |entry| lies outside [1/MAGNITUDE_RANGE,
 MAGNITUDE_RANGE] is solved scaled by a power of two into that range, and its
@@ -189,8 +190,9 @@ def _bands(arr):
         yield arr[r0:r1, r0:], arr[r0:, r0:r1].T
 
 
-def _as_dense_symmetric(a, overwrite: bool = False) -> tuple[np.ndarray, int]:
-    """Validate and symmetrize the input; rejects asymmetry beyond tolerance.
+def _as_dense_symmetric(a) -> tuple[np.ndarray, int]:
+    """Validate and symmetrize a real input; rejects complex input and
+    asymmetry beyond tolerance.
 
     Returns the matrix scaled by 2^-e into range, and e (see
     _range_exponent); e is 0, and nothing is scaled, for an input in range.
@@ -198,17 +200,18 @@ def _as_dense_symmetric(a, overwrite: bool = False) -> tuple[np.ndarray, int]:
     A SymbolMatrix is symmetric by construction and returns its private
     dense realization.  An array of any layout is read where it lies.  One
     equal to its transpose bit for bit is checked read-only and returned as
-    a read-only view of itself, or as itself with ``overwrite`` (the
-    caller's private matrix).  Any other array, or one out of range, is
-    averaged to 0.5 (A + A^T) or scaled in a private C-ordered copy, or in
-    itself with ``overwrite``.  The check and the average go a band of
-    HOUSEHOLDER_CHUNK_ROWS rows at a time, so besides that copy no
-    temporary as large as the matrix is made.
+    a read-only view of itself.  Any other array, or one out of range, is
+    averaged to 0.5 (A + A^T) or scaled in a private C-ordered copy.  The
+    check and the average go a band of HOUSEHOLDER_CHUNK_ROWS rows at a
+    time, so besides that copy no temporary as large as the matrix is made.
     """
     if isinstance(a, SymbolMatrix):
         a, exponent = _in_range_symbol(a)
         return a.dense(), exponent
-    arr = np.asarray(a, dtype=np.float64)
+    arr = np.asarray(a)
+    if np.iscomplexobj(arr):
+        raise ParameterError(f"expected a real symmetric matrix, got {arr.dtype}")
+    arr = arr.astype(np.float64, copy=False)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ParameterError(f"expected a square matrix, got shape {arr.shape}")
     if arr.size == 0:
@@ -230,12 +233,10 @@ def _as_dense_symmetric(a, overwrite: bool = False) -> tuple[np.ndarray, int]:
         )
     exponent = _range_exponent(top)
     if exact and not exponent:
-        if not overwrite:
-            arr = arr.view()
-            arr.flags.writeable = False
+        arr = arr.view()
+        arr.flags.writeable = False
         return arr, 0
-    if not overwrite:
-        arr = arr.copy()
+    arr = arr.copy()
     if exponent:  # first, so that the average cannot overflow
         np.ldexp(arr, -exponent, out=arr)
     if not exact:
@@ -754,16 +755,6 @@ def _householder_ql(sym, blocks, want_vectors, exponent) -> Spectrum:
     return _finish(sym, values, vectors, "householder_ql", steps, exponent)
 
 
-def _gram_values(gram) -> np.ndarray:
-    """Eigenvalues, descending, of a private Gram matrix, validated if real
-    and made exactly Hermitian if complex, and reduced in place."""
-    if np.iscomplexobj(gram):
-        _average_adjoint(gram)
-        return _householder_ql(gram, None, False, 0).values
-    gram, exponent = _as_dense_symmetric(gram, overwrite=True)
-    return _householder_ql(gram, _parity_blocks(gram), False, exponent).values
-
-
 def eigh_jacobi(a, want_vectors: bool = False) -> Spectrum:
     """Full spectrum via cyclic Jacobi rotations in round-robin order.
 
@@ -808,11 +799,12 @@ def singular_values_via_gram(f: np.ndarray) -> np.ndarray:
     A real symmetric F (equal to F^T bit for bit) is solved itself, split
     by parity when centrosymmetric: its singular values are the
     |eigenvalues|, whose squares go through sqrt_clamped so that the Gram
-    route's noise floor still applies.  Any other real F has the real
-    symmetric Gram F^T F, diagonalized directly.  A complex F has the
-    Hermitian Gram F^H F, made exactly Hermitian and reduced at its own
-    size by the complex Householder reduction to a real tridiagonal.  F
-    whose largest |entry| lies outside [1/GRAM_RANGE, GRAM_RANGE] is
+    route's noise floor still applies.  Any other F, real or complex, has
+    the Gram F^H F, made exactly symmetric (Hermitian) by averaging and
+    reduced whole, in place; a real Gram stays in real arithmetic.  It is
+    not checked for symmetry, rescaled or split by parity: it is Hermitian
+    by construction, and F's scaling keeps its entries far from overflow.
+    F whose largest |entry| lies outside [1/GRAM_RANGE, GRAM_RANGE] is
     solved scaled by a power of two, and sigma is scaled back.
     """
     f = np.asarray(f)
@@ -824,10 +816,10 @@ def singular_values_via_gram(f: np.ndarray) -> np.ndarray:
     exponent = _range_exponent(_extent(f), GRAM_RANGE)
     if exponent:
         f = np.ldexp(np.ascontiguousarray(f).view(np.float64), -exponent).view(f.dtype)
-    if np.iscomplexobj(f):
-        squares = _gram_values(f.conj().T @ f)
-    elif f.shape[0] == f.shape[1] and np.array_equal(f, f.T):
+    if not np.iscomplexobj(f) and f.shape[0] == f.shape[1] and np.array_equal(f, f.T):
         squares = np.sort(np.square(eigh_householder_ql(f).values))[::-1]
     else:
-        squares = _gram_values(f.T @ f)
+        gram = f.conj().T @ f  # conj() of a real array is the array itself
+        _average_adjoint(gram)
+        squares = _householder_ql(gram, None, False, 0).values
     return _scale_back(sqrt_clamped(squares), exponent, "a singular value")

@@ -96,6 +96,8 @@ class SymbolMatrix:
     symbol: np.ndarray
 
     def __post_init__(self) -> None:
+        if np.iscomplexobj(self.symbol):
+            raise ParameterError("expected a real Toeplitz matrix, got a complex symbol")
         self.symbol = np.asarray(self.symbol, dtype=np.float64)
         if self.symbol.ndim != 1 or self.symbol.size == 0:
             raise ParameterError("symbol must be a non-empty 1-d real sequence")

@@ -477,6 +477,54 @@ def test_decompose_report_bytes_are_pinned(argv, code, text, capsys):
     assert capsys.readouterr() == (text, "")
 
 
+_DFT_HEAD = (
+    "# singular-value clustering certificates for a DFT submatrix\n"
+    "M,p,row,col,epsilon,width,bound_2R,lower_index_ok,upper_index_ok,width_ok,pass\n"
+)
+
+
+# stdout and exit code of certify on DFT blocks, reduced through the L x L
+# Hermitian Gram; widths are counts and bound_2R is analytic, so no column
+# depends on BLAS rounding.  eps=1e-12 is left out: its width is
+# undercounted by GRAM_NOISE_FLOOR (see
+# test_certify_dft_width_matches_lapack_at_tiny_eps).
+@pytest.mark.parametrize("argv, rows", [
+    ("M=1024 p=4 row=3 col=7", [
+        "1024,4,3,7,1.0000000000000000e-03,10,1.7880619212233674e+02,true,true,true,true",
+        "1024,4,3,7,9.9999999999999995e-07,16,3.2432270907269600e+02,true,true,true,true",
+        "1024,4,3,7,1.0000000000000001e-09,24,4.6983922602305529e+02,true,true,true,true",
+    ]),
+    ("M=1024 p=2", [
+        "1024,2,0,0,1.0000000000000000e-03,10,1.9634754225636789e+02,true,true,true,true",
+        "1024,2,0,0,9.9999999999999995e-07,18,3.6567670823361954e+02,true,true,true,true",
+        "1024,2,0,0,1.0000000000000001e-09,26,5.3500587421087118e+02,true,true,true,true",
+    ]),
+    ("M=1024 p=8", [
+        "1024,8,0,0,1.0000000000000000e-03,8,1.7055255436785504e+02,true,true,true,true",
+        "1024,8,0,0,9.9999999999999995e-07,14,3.0466014564645798e+02,true,true,true,true",
+        "1024,8,0,0,1.0000000000000001e-09,18,4.3965172594947444e+02,true,true,true,true",
+    ]),
+    ("M=2048 p=8", [
+        "2048,8,0,0,1.0000000000000000e-03,8,1.7599139700317423e+02,true,true,true,true",
+        "2048,8,0,0,9.9999999999999995e-07,16,3.1398006873934526e+02,true,true,true,true",
+        "2048,8,0,0,1.0000000000000001e-09,22,4.5285272949992986e+02,true,true,true,true",
+    ]),
+    ("M=4096 p=16", [
+        "4096,16,0,0,1.0000000000000000e-03,8,1.7599139700317423e+02,true,true,true,true",
+        "4096,16,0,0,9.9999999999999995e-07,14,3.0886206438720234e+02,true,true,true,true",
+        "4096,16,0,0,1.0000000000000001e-09,18,4.4441279705289958e+02,true,true,true,true",
+    ]),
+    ("M=999 p=3", [
+        "999,3,0,0,1.0000000000000000e-03,10,1.8389538926270808e+02,true,true,true,true",
+        "999,3,0,0,9.9999999999999995e-07,18,3.3610357490168025e+02,true,true,true,true",
+        "999,3,0,0,1.0000000000000001e-09,26,4.8831176054065236e+02,true,true,true,true",
+    ]),
+])
+def test_certify_dft_report_bytes_are_pinned(argv, rows, capsys):
+    assert main(["certify", *argv.split(), "eps=1e-3,1e-6,1e-9"]) == 0
+    assert capsys.readouterr() == (_DFT_HEAD + "".join(r + "\n" for r in rows), "")
+
+
 def test_decompose_exits_3_when_the_basis_misses_the_lowrank_part(monkeypatch, capsys):
     basis = prolate.lowrank._orthonormal_basis
     monkeypatch.setattr(prolate.lowrank, "_orthonormal_basis", lambda columns: basis(columns)[1:])

@@ -76,6 +76,12 @@ def test_fit_rejects_tiny_or_asymmetric_input():
     params, dense = _prolate(64, 16, 7)
     with pytest.raises(pr.ParameterError):
         pr.fit_commuting_tridiagonal(dense[:8, :8], params)
+    # a complex block is refused, not cast to its real part
+    with pytest.raises(pr.ParameterError, match="expected a real"):
+        pr.fit_commuting_tridiagonal(dense + 0j, params)
+    fit = pr.fit_commuting_tridiagonal(dense, params)
+    with pytest.raises(pr.ParameterError, match="expected a real"):
+        pr.eigenvectors_via_tridiagonal(fit, dense + 0j)
 
 
 def test_prolate_fit_certificate():

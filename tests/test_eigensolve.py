@@ -519,26 +519,23 @@ def test_symmetric_input_takes_absolute_eigenvalues(monkeypatch):
     parts = pr.lowrank_tail_split(pr.ProlateParams(M=1024, N=256, K=128), 1e-12)
     rng = np.random.default_rng(37)
     solved = []
-    original = es.eigh_householder_ql
+    original = es._householder_ql
 
-    def spying(func):
-        def spy(a, *args, **kwargs):
-            solved.append(np.array(a, copy=True))
-            return func(a, *args, **kwargs)
+    def spy(sym, *args):
+        solved.append(np.array(sym, copy=True))
+        return original(sym, *args)
 
-        return spy
-
-    # the Gram route solves its private F^T F in place, via _gram_values
-    monkeypatch.setattr(es, "eigh_householder_ql", spying(original))
-    monkeypatch.setattr(es, "_gram_values", spying(es._gram_values))
+    # every solve goes through _householder_ql, the Gram's in place
+    monkeypatch.setattr(es, "_householder_ql", spy)
     for f in (pr.SymbolMatrix(parts.symbol).dense(), _random_symmetric(rng, 30)):
         sigma = pr.singular_values_via_gram(f)
-        assert np.array_equal(solved.pop(), f)
-        lam = original(f).values
+        assert np.array_equal(solved.pop(), f) and not solved
+        lam = es.eigh_householder_ql(f).values
         assert np.array_equal(sigma, sqrt_clamped(np.sort(lam * lam)[::-1]))
         assert np.array_equal(sigma[sigma > 0.0], np.sort(np.abs(lam))[::-1][: _rank(sigma)])
-        gram = sqrt_clamped(original(f.T @ f).values)
+        gram = sqrt_clamped(es.eigh_householder_ql(f.T @ f).values)
         assert _rank(sigma) == _rank(gram)
+        solved.clear()
         lapack = np.linalg.svd(f, compute_uv=False)
         kept = sigma > 0.0
         assert np.abs(sigma - lapack)[kept].max() <= 1e-13 * sigma[0]
@@ -550,6 +547,45 @@ def test_symmetric_input_takes_absolute_eigenvalues(monkeypatch):
         sigma = pr.singular_values_via_gram(g)
         assert np.array_equal(solved.pop(), g.T @ g) and not solved
         assert np.abs(sigma - np.linalg.svd(g, compute_uv=False)).max() <= 1e-12
+
+
+def test_no_gram_passes_the_symmetric_input_gate(monkeypatch):
+    # _as_dense_symmetric validates caller input only: a Gram, real or
+    # complex, is Hermitian by construction and goes straight to the solve
+    gated = []
+    original = es._as_dense_symmetric
+
+    def spy(a):
+        gated.append(a)
+        return original(a)
+
+    monkeypatch.setattr(es, "_as_dense_symmetric", spy)
+    rng = np.random.default_rng(41)
+    f = rng.standard_normal((12, 9))
+    for g in (f, f + 1j * rng.standard_normal((12, 9)), f[:9], pr.dft_submatrix(64, 4)):
+        assert pr.singular_values_via_gram(g).shape == (g.shape[1],)
+    assert not gated
+    sym = _random_symmetric(rng, 9)
+    pr.singular_values_via_gram(sym)
+    assert len(gated) == 1 and gated[0] is sym
+
+
+def test_complex_input_is_refused_by_the_symmetric_solvers():
+    # the Hermitian [[1, i], [-i, 1]] has spectrum {0, 2}; cast to real it
+    # would be the identity, and Toeplitz [2, i] would read as diag(2, 2)
+    hermitian = np.array([[1.0, 1j], [-1j, 1.0]])
+    for solver in (pr.eigh_householder_ql, pr.eigh_jacobi):
+        with pytest.raises(pr.ParameterError, match="expected a real"):
+            solver(hermitian)
+        with pytest.raises(pr.ParameterError, match="expected a real"):
+            solver(hermitian.tolist())
+    with pytest.raises(pr.ParameterError, match="expected a real"):
+        pr.SymbolMatrix(np.array([2.0, 1j]))
+    with pytest.raises(pr.ParameterError, match="expected a real"):
+        pr.SymbolMatrix([2.0, 1j])
+    # the Gram route still takes complex F: sigma of the Hermitian block
+    sigma = pr.singular_values_via_gram(hermitian)
+    assert np.abs(sigma - [2.0, 0.0]).max() <= 1e-15
 
 
 def _dirichlet_block(m, p, length):

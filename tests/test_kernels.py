@@ -1,6 +1,7 @@
 """Matrix builder tests: frozen oracle values plus structural invariants."""
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -345,3 +346,16 @@ def test_public_surface():
                "sampled_exponential", "tail_term"}
     assert not removed & set(pr.__all__)
     assert not any(hasattr(pr, name) for name in removed)
+
+
+def test_library_calls_no_lapack():
+    # every spectrum comes from the in-house solvers: no module of the
+    # package may reach numpy.linalg, scipy or a LAPACK binding, even in
+    # a lazily imported branch; LAPACK serves the tests as an oracle only
+    package = Path(pr.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert {path.stem for path in sources} >= {"cli", "eigensolve", "kernels"}
+    for path in sources:
+        text = path.read_text(encoding="utf-8")
+        for word in ("linalg", "scipy", "lapack"):
+            assert word not in text, f"{path.name} mentions {word}"
