@@ -57,7 +57,7 @@ SWEEP_MAX_M = 8192
 # M=16384 N=4096 K=2048` takes 3.0 s and 98 MB peak (it solves two parity
 # blocks built from the symbol, never the N x N matrix), and `decompose
 # M=16384 N=4096 K=2048` 0.5 s and 40 MB (0.33 s and 36 MB at N=2048; it
-# counts ranks in the span of the 4R factor columns, with no N x N solve).
+# counts ranks in a basis of the span that holds its range, no N x N solve).
 MAX_DENSE_DIM = 4096
 # Largest side L = M/p of the DFT block behind certify M= p= and dft-sub,
 # whose L x L complex Gram is reduced whole.  At the limit `dft-sub M=4096

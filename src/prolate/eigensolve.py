@@ -775,18 +775,19 @@ def eigh_jacobi(a, want_vectors: bool = False) -> Spectrum:
 def sqrt_clamped(values: np.ndarray) -> np.ndarray:
     """Square roots of Gram eigenvalues with PSD clamping and a noise floor.
 
-    Values in [-1e-12, 0) are clamped to zero (Gram matrices are PSD
-    analytically); anything below -1e-12 signals a solver failure.  Values
-    below GRAM_NOISE_FLOOR * max(values) collapse to exactly zero so that
-    the noise tail is reproducible instead of sqrt-amplified jitter.
+    Negative values down to -1e-12 * max(1, max(values)) are clamped to
+    zero (Gram matrices are PSD analytically, and their rounding scales
+    with the largest value); anything below signals a solver failure.
+    Values below GRAM_NOISE_FLOOR * max(values) collapse to exactly zero so
+    that the noise tail is reproducible instead of sqrt-amplified jitter.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         return values.copy()
-    low = float(values.min())
-    if low < -1e-12:
+    low, clamp = float(values.min()), -1e-12 * max(1.0, float(values.max()))
+    if low < clamp:
         raise EigensolveError(
-            f"Gram eigenvalue {low:.3e} below the -1e-12 PSD clamp"
+            f"Gram eigenvalue {low:.3e} below the {clamp:.3g} PSD clamp"
         )
     clamped = np.maximum(values, 0.0)
     clamped[clamped < GRAM_NOISE_FLOOR * clamped.max()] = 0.0

@@ -8,15 +8,14 @@ oscillatory power series
 
 where eta is the Dirichlet eta function eta(s) = (1 - 2^(1-s)) zeta(s),
 evaluated exactly from its Bernoulli-number closed form at even s.
-Truncating the series after R terms leaves a matrix of rank at most 4R
-(it factors through monomial-times-oscillation columns) plus a tail whose
-maximum absolute row sum is certified by a geometric-series bound.  Each
-term is even in k, so the truncated part is a symmetric Toeplitz matrix
-kept, like the two kernels, as its symbol at offsets 0..N-1.  This
-module builds that symbol, certifies the tail, counts the rank of the
-truncated part in the span of its 4R factor columns (no N x N solve), and
-runs the numeric effective-rank check of the sinc-kernel matrix against
-its partial Fourier projector.
+Truncating the series after R terms leaves a symmetric Toeplitz matrix
+of rank at most 4R, kept like the two kernels as its symbol at offsets
+0..N-1, plus a tail whose maximum absolute row sum is certified by a
+geometric-series bound.  This module builds that symbol, certifies the
+tail, counts the rank of the truncated part in an orthonormal basis of
+the span that holds its range, grown from the two oscillations (no
+monomial and no N x N solve), and runs the numeric effective-rank check
+of the sinc-kernel matrix against its partial Fourier projector.
 """
 from __future__ import annotations
 
@@ -47,7 +46,7 @@ from .kernels import (
 # 4R singular values above RANK_CUT times the largest.  The Gram noise
 # floor zeroes those below about 3.2e-5 times the largest first, so that
 # floor is the cut in effect; RANK_CUT also bounds twice the part's
-# distance from the span of its factors.
+# distance from the span of its basis.
 TAIL_SHARE = 16.0
 RANK_CUT = 1e-10
 
@@ -55,21 +54,29 @@ RANK_CUT = 1e-10
 # s <= 200, stays far below half an ulp, so eta_even rounds only once.
 _PI = Fraction("3.14159265358979323846264338327950288419716939937510582097494459")
 
+# B_0, B_1, ... as far as eta_even has needed them; grown in a copy, then
+# rebound, so a concurrent reader always sees a complete sequence.
+_BERNOULLI = (Fraction(1),)
+
 
 def eta_even(s: int) -> float:
     """Dirichlet eta at an even integer s in [2, 200], from its closed form.
 
     eta(s) = (1 - 2^(1-s)) |B_s| (2 pi)^s / (2 s!), with the Bernoulli
-    number B_s from the recurrence sum_{i=0..j} C(j+1, i) B_i = 0.  It is
-    evaluated in rationals, pi taken to 62 decimals, and rounded once.
+    number B_s from the recurrence sum_{i=0..j} C(j+1, i) B_i = 0 (each
+    B_j once per process), in rationals, pi to 62 decimals, rounded once.
     """
+    global _BERNOULLI
     s = _check_integer(s, "s")
     if s % 2 != 0 or not 2 <= s <= 200:
         raise ParameterError(f"s must be an even integer in [2, 200], got {s}")
-    bern = [Fraction(1)]
-    for j in range(1, s + 1):
-        total = sum(math.comb(j + 1, i) * b for i, b in enumerate(bern) if b)
-        bern.append(-total / (j + 1))
+    bern = _BERNOULLI
+    if len(bern) <= s:
+        bern = list(bern)
+        for j in range(len(bern), s + 1):
+            total = sum(math.comb(j + 1, i) * b for i, b in enumerate(bern) if b)
+            bern.append(-total / (j + 1))
+        _BERNOULLI = bern = tuple(bern)
     exact = (1 - Fraction(1, 2 ** (s - 1))) * abs(bern[s]) * (2 * _PI) ** s
     return float(exact / (2 * math.factorial(s)))
 
@@ -117,26 +124,17 @@ class LowRankParts:
     """Truncated-series split of (periodic - sinc) prolate difference.
 
     The low-rank part is the Toeplitz matrix ``SymbolMatrix(symbol)`` of
-    the first ``order`` series terms at offsets 0..N-1; it equals
-    sin_factor @ coeff @ cos_factor.T - cos_factor @ coeff @ sin_factor.T
-    exactly, so its rank is at most 4*order.  ``tail_bound`` certifies the
-    maximum absolute row sum of what was dropped, and ``entry_bound`` is
-    the per-entry version (tail_bound / N).
+    the first ``order`` series terms at offsets 0..N-1, of rank at most
+    4*order (:func:`_range_rank`).  ``tail_bound`` certifies the maximum
+    absolute row sum of what was dropped, and ``entry_bound`` is the
+    per-entry version (tail_bound / N).
     """
 
     order: int
-    coeff: np.ndarray = field(repr=False)
-    sin_factor: np.ndarray = field(repr=False)
-    cos_factor: np.ndarray = field(repr=False)
     symbol: np.ndarray = field(repr=False)
     tail_bound: float
     entry_bound: float
     epsilon: float
-
-    def reconstruct(self) -> np.ndarray:
-        """The factored form; equal to SymbolMatrix(symbol) to ~1e-13."""
-        u, v, d = self.sin_factor, self.cos_factor, self.coeff
-        return u @ d @ v.T - v @ d @ u.T
 
 
 def _split_plan(params: ProlateParams, epsilon: float, order) -> tuple[int, float]:
@@ -163,30 +161,19 @@ def lowrank_tail_split(
     By default the truncation order is the smallest one whose certified
     tail bound is at most eps/16 (the per-entry bound is then
     eps/(16 N)); pass ``order`` to inspect other truncations.  The
-    low-rank part is kept as its symbol, summed from the truncated series:
-    mathematically the factored form, without the cancellation of
-    high-power monomials, and no N x N matrix.  The factors themselves are
-    still returned for the algebraic identity check.
+    low-rank part is kept as its symbol, summed from the truncated series
+    one term at a time: no factor and no N x N matrix is formed.
     """
     order, bound = _split_plan(params, epsilon, order)
     m, n = params.M, params.N
     rows = np.arange(n, dtype=np.float64)
     oscillation = np.sin(2.0 * math.pi * params.W * rows)
-    coeff = np.zeros((2 * order, 2 * order))
     symbol = np.zeros(n)
     for r in range(1, order + 1):
         scale = 2.0 / (m * math.pi) * eta_even(2 * r)
-        for p in range(2 * r):
-            coeff[2 * r - 1 - p, p] = scale * (-1) ** p * math.comb(2 * r - 1, p)
         symbol += scale * (rows / m) ** (2 * r - 1) * oscillation
-    powers = (rows[:, None] / m) ** np.arange(2 * order)[None, :]
-    sin_factor = powers * oscillation[:, None]
-    cos_factor = powers * np.cos(2.0 * math.pi * params.W * rows)[:, None]
     return LowRankParts(
         order=order,
-        coeff=coeff,
-        sin_factor=sin_factor,
-        cos_factor=cos_factor,
         symbol=symbol,
         tail_bound=bound,
         entry_bound=bound / n,
@@ -200,8 +187,8 @@ class SplitCertificate:
 
     ``row_sum`` and ``entry`` are the maximum absolute row sum and entry of
     (periodic - sinc) minus the low-rank part L.  ``rank`` counts the
-    singular values of L, measured in the span of its 4R factor columns
-    (:func:`certify_lowrank_split`): those whose squares clear the
+    singular values of L, measured in the span that holds its range
+    (:func:`_range_rank`): those whose squares clear the
     GRAM_NOISE_FLOOR of 1e-9 times the largest square, so those above about
     3.2e-5 times the largest; RANK_CUT (1e-10) lies below that floor.
     ``range_residual`` is rho = ||(I - Q Q^T) L||_F for the orthonormal
@@ -227,44 +214,53 @@ class SplitCertificate:
         )
 
 
-def _orthonormal_basis(columns: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the columns of the n x c ``columns``.
+def _range_basis(params: ProlateParams, count: int) -> np.ndarray:
+    """Orthonormal rows spanning (k/M)^j sin(2 pi W k), (k/M)^j cos(2 pi W k),
+    j < ``count``, k < N: the block Krylov space of diag(k/M) from the two
+    oscillations, grown with no monomial formed, as in Vandermonde with
+    Arnoldi (Brubeck, Nakatsukasa and Trefethen, SIAM Rev. 63, 2021).
 
-    Classical Gram-Schmidt run twice: each column, scaled by its largest
-    |entry|, is projected off the rows kept so far, then projected again.
-    A column whose second pass keeps less than 1/sqrt(2) of the norm left
-    by the first lies in their span to rounding and is dropped (the
-    Kahan-Parlett test; Parlett, The Symmetric Eigenvalue Problem, section
-    6.9; Giraud, Langou and Rozloznik, Comput. Math. Appl. 50, 2005).  At
-    most n rows are kept.
+    One chain starts from each oscillation; its next column is k/M times
+    its last kept row.  Each column, scaled by its largest |entry|, is
+    projected off the rows kept so far, then again (classical Gram-Schmidt
+    run twice).  A column whose second pass keeps less than 1/sqrt(2) of
+    the norm left by the first lies in their span to rounding and is
+    dropped (the Kahan-Parlett test; Parlett, The Symmetric Eigenvalue
+    Problem, section 6.9).  A dropped or zero column ends its chain, the
+    Krylov space being exhausted.  At most min(N, 2 count) rows are kept.
     """
-    n, count = columns.shape
-    basis = np.empty((min(n, count), n))
+    n = params.N
+    rows = np.arange(n, dtype=np.float64)
+    phase = 2.0 * math.pi * params.W * rows
+    chains = [np.sin(phase), np.cos(phase)]
+    basis = np.empty((min(n, 2 * count), n))
     kept = 0
-    for column in columns.T:
-        if kept == basis.shape[0]:
-            break
-        peak = np.abs(column).max()
-        if peak == 0.0:
-            continue
-        done = basis[:kept]
-        first = column / peak
-        first -= done.T @ (done @ first)
-        second = first - done.T @ (done @ first)
-        square = second @ second
-        if 2.0 * square >= first @ first > 0.0:
-            basis[kept] = second / math.sqrt(square)
-            kept += 1
+    for _ in range(count):
+        grown = []
+        for column in chains:
+            peak = np.abs(column).max()
+            if kept == basis.shape[0] or peak == 0.0:
+                continue
+            done = basis[:kept]
+            first = column / peak
+            first -= done.T @ (done @ first)
+            second = first - done.T @ (done @ first)
+            square = second @ second
+            if 2.0 * square >= first @ first > 0.0:
+                basis[kept] = second / math.sqrt(square)
+                grown.append(rows / params.M * basis[kept])
+                kept += 1
+        chains = grown
     return basis[:kept]
 
 
-def _range_rank(parts: LowRankParts) -> tuple[int, float]:
-    """Rank of the low-rank part L, counted in the span of its factors, and
-    rho = ||(I - Q Q^T) L||_F.
+def _range_rank(params: ProlateParams, parts: LowRankParts) -> tuple[int, float]:
+    """Rank of the low-rank part L, counted in the span that holds its
+    range, and rho = ||(I - Q Q^T) L||_F.
 
-    L = A X A^T with A = [sin_factor, cos_factor], so range(L) lies in
-    span(A).  With Q an orthonormal basis of span(A), L Q is formed from the
-    symbol's read-only view, and L_p = Q^T L Q, averaged with its transpose
+    Expanding (i - j)^(2r-1) sin(2 pi W (i - j)) puts range(L) in the span
+    of :func:`_range_basis` Q at count 2R.  L Q is formed from the symbol's
+    read-only view, and L_p = Q^T L Q, averaged with its transpose
     so that it is exactly symmetric, goes to singular_values_via_gram,
     whose floor on the squares counts the rank as it did for L itself.  As
     ||L - Q L_p Q^T||_2 <= 2 rho, EigensolveError is raised when 2 rho
@@ -273,7 +269,7 @@ def _range_rank(parts: LowRankParts) -> tuple[int, float]:
     HOUSEHOLDER_CHUNK_ROWS rows at a time, so no N x N temporary is made.
     """
     lowrank = SymbolMatrix(parts.symbol).view()
-    basis = _orthonormal_basis(np.hstack((parts.sin_factor, parts.cos_factor)))
+    basis = _range_basis(params, 2 * parts.order)
     n = lowrank.shape[0]
     step = HOUSEHOLDER_CHUNK_ROWS
     bands = [slice(r0, min(r0 + step, n)) for r0 in range(0, n, step)]
@@ -310,8 +306,8 @@ def certify_lowrank_split(
     Every eps and order is checked before any work.  Each eps then gets
     :func:`lowrank_tail_split` (at ``order`` if given), the residual
     measured from the symbols, and the rank of the low-rank part counted in
-    the 4R-column span of its factors (:func:`_range_rank`): an O(N^2 R)
-    count, with no N x N solve, that :class:`SplitCertificate` judges.
+    the at most 4R-dimensional span of its range (:func:`_range_rank`): an
+    O(N^2 R) count, with no N x N solve, that :class:`SplitCertificate` judges.
     """
     epsilons = [_check_epsilon(epsilon) for epsilon in epsilons]
     orders = [_split_plan(params, epsilon, order)[0] for epsilon in epsilons]
@@ -320,7 +316,7 @@ def certify_lowrank_split(
     for epsilon, split_order in zip(epsilons, orders):
         parts = lowrank_tail_split(params, epsilon, order=split_order)
         residual = np.abs(diff - parts.symbol)
-        rank, rho = _range_rank(parts)
+        rank, rho = _range_rank(params, parts)
         certificates.append(
             SplitCertificate(
                 epsilon=parts.epsilon,

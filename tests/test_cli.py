@@ -460,6 +460,13 @@ def _split_report(mnk, eps_line, rows):
         "8,8,9.8816394242082633e-12,3.3289924014290738e-13,true",
         "10,8,3.8600154000813529e-14,1.1981280235319038e-15,false",
     ])),
+    # M/N = 1.24: a basis grown from monomial columns missed L here (exit 3)
+    ("M=318 N=256 K=96", 0, _split_report("# M=318 N=256 K=96", _FOUR_EPS, [
+        "23,12,5.4506382147721903e-05,6.1210324858232579e-07,true",
+        "39,12,5.2778665776905410e-08,3.4082696081815902e-10,true",
+        "55,12,5.1105713705981326e-11,2.2305493269550556e-13,true",
+        "71,12,4.9485790043229565e-14,2.7979234665351412e-16,true",
+    ])),
     # no factor columns: rank 0 without a solve
     ("M=64 N=16 K=7 order=0 eps=1e-3", 1, _split_report(
         "# M=64 N=16 K=7",
@@ -526,8 +533,8 @@ def test_certify_dft_report_bytes_are_pinned(argv, rows, capsys):
 
 
 def test_decompose_exits_3_when_the_basis_misses_the_lowrank_part(monkeypatch, capsys):
-    basis = prolate.lowrank._orthonormal_basis
-    monkeypatch.setattr(prolate.lowrank, "_orthonormal_basis", lambda columns: basis(columns)[1:])
+    basis = prolate.lowrank._range_basis
+    monkeypatch.setattr(prolate.lowrank, "_range_basis", lambda *args: basis(*args)[1:])
     assert main(["decompose", "M=1024", "N=256", "K=128", "eps=1e-3"]) == 3
     out, err = capsys.readouterr()
     assert out == ""

@@ -393,6 +393,19 @@ def test_sqrt_clamped_paths():
         sqrt_clamped(np.array([1.0, -1e-11]))
 
 
+def test_gram_psd_clamp_scales_with_the_largest_value():
+    # rank-3 products: with sigma_1^2 near 4e3 a zero Gram eigenvalue rounds
+    # to about -1e-12, which is rounding, not a solver failure
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        f = rng.standard_normal((50, 3)) @ rng.standard_normal((3, 40))
+        reference = np.linalg.svd(f, compute_uv=False)
+        assert np.abs(pr.singular_values_via_gram(f) - reference).max() <= 1e-10 * reference[0]
+    with pytest.raises(pr.EigensolveError, match="below the -4e-09 PSD clamp"):
+        sqrt_clamped(np.array([4e3, -4.1e-9]))
+    assert sqrt_clamped(np.array([4e3, -3.9e-9]))[1] == 0.0
+
+
 def test_hermitian_embedding_doubles_spectrum():
     rng = np.random.default_rng(9)
     g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))

@@ -4,6 +4,7 @@ projector effective-rank check.
 """
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,6 +34,25 @@ def test_eta_monotone_and_bounded():
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
+def test_eta_from_the_shared_bernoulli_sequence_matches_a_fresh_recurrence(monkeypatch):
+    # reference: the closed form over B_0..B_200 from a recurrence of this test's own
+    bern = [Fraction(1)]
+    for j in range(1, 201):
+        bern.append(-sum(math.comb(j + 1, i) * b for i, b in enumerate(bern) if b) / (j + 1))
+    two_pi = 2 * pr.lowrank._PI
+    expected = {
+        s: float((1 - Fraction(1, 2 ** (s - 1))) * abs(bern[s]) * two_pi**s
+                 / (2 * math.factorial(s)))
+        for s in range(2, 201, 2)
+    }
+    # grown from B_0 one call at a time, then read back in descending order
+    monkeypatch.setattr(pr.lowrank, "_BERNOULLI", (Fraction(1),))
+    for order in (range(2, 201, 2), range(200, 1, -2)):
+        for s in order:
+            assert pr.eta_even(s) == expected[s], s
+    assert pr.lowrank._BERNOULLI == tuple(bern)
+
+
 def test_eta_rejects_bad_arguments():
     for s in (3, 1, 0, -2, 202, 2.0, True):
         with pytest.raises(pr.ParameterError):
@@ -49,6 +69,22 @@ def _tail_symbol(params, r, offsets):
 def _tail_term(params, r, k):
     """Series term t(r; k) at one offset."""
     return float(_tail_symbol(params, r, np.array([float(k)]))[0])
+
+
+def _factors(params, order):
+    """The series' factored form L = U D V^T - V D U^T, from expanding
+    (i - j)^(2r-1) sin(2 pi W (i - j)): D and the monomial-times-oscillation
+    columns U = (k/M)^p sin(2 pi W k), V = (k/M)^p cos(2 pi W k), p < 2R."""
+    m = params.M
+    rows = np.arange(params.N, dtype=np.float64)
+    coeff = np.zeros((2 * order, 2 * order))
+    for r in range(1, order + 1):
+        scale = 2.0 / (m * math.pi) * pr.eta_even(2 * r)
+        for p in range(2 * r):
+            coeff[2 * r - 1 - p, p] = scale * (-1) ** p * math.comb(2 * r - 1, p)
+    powers = (rows[:, None] / m) ** np.arange(2 * order)[None, :]
+    phase = 2.0 * math.pi * params.W * rows
+    return coeff, powers * np.sin(phase)[:, None], powers * np.cos(phase)[:, None]
 
 
 def _fourier_frame(n, w):
@@ -122,7 +158,7 @@ def test_zero_order_split_is_pure_tail():
     eps = 0.4
     parts = pr.lowrank_tail_split(wide, eps)
     assert parts.order == 0
-    assert parts.sin_factor.shape == (64, 0)
+    assert pr.lowrank._range_basis(wide, 2 * parts.order).shape == (0, 64)
     assert np.all(pr.SymbolMatrix(parts.symbol).dense() == 0.0)
     assert parts.tail_bound <= eps / 16.0
     dense = pr.periodic_prolate(wide).dense() - pr.sinc_prolate(64, wide.W).dense()
@@ -146,11 +182,16 @@ def test_split_certificates(eps, order):
 
 
 def test_split_factored_form_matches():
+    # the symbol against the factored form, whose columns the grown basis spans
     for eps in (1e-3, 1e-6, 1e-12):  # orders 3, 5, 10: all moderate
         parts = pr.lowrank_tail_split(PARAMS, eps)
         assert parts.order <= 10
         lowrank = pr.SymbolMatrix(parts.symbol).dense()
-        assert np.abs(parts.reconstruct() - lowrank).max() <= 1e-13
+        d, u, v = _factors(PARAMS, parts.order)
+        assert np.abs(u @ d @ v.T - v @ d @ u.T - lowrank).max() <= 1e-13
+        basis = pr.lowrank._range_basis(PARAMS, 2 * parts.order)
+        columns = np.hstack((u, v))
+        assert np.abs(columns - basis.T @ (basis @ columns)).max() <= 1e-14
 
 
 def test_split_structure():
@@ -159,9 +200,10 @@ def test_split_structure():
     parts = pr.lowrank_tail_split(PARAMS, 1e-6)
     lowrank = pr.SymbolMatrix(parts.symbol).dense()
     assert np.array_equal(lowrank, lowrank.T)
-    assert np.array_equal(parts.coeff, -parts.coeff.T)
+    coeff = _factors(PARAMS, parts.order)[0]
+    assert np.array_equal(coeff, -coeff.T)
     anti = np.add.outer(np.arange(10), np.arange(10))
-    assert np.all(parts.coeff[anti % 2 == 0] == 0.0)
+    assert np.all(coeff[anti % 2 == 0] == 0.0)
 
 
 def test_split_lowrank_matches_index_construction_bitwise():
@@ -287,10 +329,13 @@ def test_split_certificate_never_builds_the_lowrank_matrix():
 DEFAULT_EPS = (1e-3, 1e-6, 1e-9, 1e-12)
 
 
-# 4R >= N at (64, 16, 7), (8, 2, 1) and (10, 4, 1)
+# 4R >= N at (64, 16, 7), (8, 2, 1) and (10, 4, 1); M/N near 1.2 at
+# (318, 256, 96) and (1200, 1000, 100), where a basis grown from monomial
+# columns missed L (R reaches 85 at the second)
 @pytest.mark.parametrize("mnk", [
     (1024, 256, 128), (512, 128, 64), (64, 16, 7), (8, 2, 1), (10, 4, 1),
-    (1000, 333, 77), (999, 100, 20), (2048, 256, 128),
+    (1000, 333, 77), (999, 100, 20), (2048, 256, 128), (318, 256, 96),
+    (1200, 1000, 100),
 ], ids=lambda mnk: "-".join(map(str, mnk)))
 def test_split_rank_in_the_factor_span_matches_lapack(mnk):
     # the certificate's rank against an independent count: LAPACK's SVD of
@@ -307,8 +352,7 @@ def test_split_rank_in_the_factor_span_matches_lapack(mnk):
         snapped = np.sqrt(squares)
         assert 0 < cert.rank <= 4 * cert.order
         assert cert.rank == int((snapped > pr.lowrank.RANK_CUT * snapped[0]).sum())
-        columns = np.hstack((parts.sin_factor, parts.cos_factor))
-        basis = pr.lowrank._orthonormal_basis(columns)
+        basis = pr.lowrank._range_basis(params, 2 * cert.order)
         assert 0 < len(basis) <= min(params.N, 4 * cert.order)
         assert np.abs(basis @ basis.T - np.eye(len(basis))).max() <= 1e-14
         # Weyl: ||L - Q L_p Q^T||_2 <= 2 rho, so each sigma of L lies within
@@ -349,22 +393,37 @@ def test_split_without_factor_columns_has_rank_zero_and_no_solve(monkeypatch, pa
 def test_split_rank_refuses_a_basis_that_misses_the_lowrank_part(monkeypatch, keep):
     # without the sin(2 pi W k) direction, or with no direction at all, the
     # projected count would not be L's: an error, never a verdict
-    basis = pr.lowrank._orthonormal_basis
-    monkeypatch.setattr(pr.lowrank, "_orthonormal_basis", lambda columns: basis(columns)[keep])
+    basis = pr.lowrank._range_basis
+    monkeypatch.setattr(pr.lowrank, "_range_basis", lambda *args: basis(*args)[keep])
     with pytest.raises(pr.EigensolveError, match="outside the span of its factors"):
         pr.certify_lowrank_split(PARAMS, [1e-6])
 
 
-def test_orthonormal_basis_drops_dependent_and_zero_columns():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((6, 2))
-    columns = np.column_stack((a[:, 0], np.zeros(6), 3.0 * a[:, 0] - a[:, 1], a[:, 1]))
-    basis = pr.lowrank._orthonormal_basis(columns)
-    assert basis.shape == (2, 6)
-    assert np.abs(basis @ basis.T - np.eye(2)).max() <= 1e-15
-    assert np.abs(a - basis.T @ (basis @ a)).max() <= 1e-14
-    # at most n rows, however many columns: the basis of a full span
-    assert pr.lowrank._orthonormal_basis(rng.standard_normal((3, 8))).shape == (3, 3)
+def test_range_basis_ends_a_chain_at_a_dependent_or_zero_column(monkeypatch):
+    basis = pr.lowrank._range_basis
+    # N = 1: sin(0) = 0 ends the sin chain at once, and k/M = 0 the cos chain
+    one = pr.ProlateParams(M=9, N=1, K=2)
+    assert np.array_equal(basis(one, 4), [[1.0]])
+    assert basis(one, 0).shape == (0, 1)
+    # a cos chain started inside the sin chain's span is dropped and ends:
+    # only the sin chain's 5 rows remain
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "cos", lambda x: 3.0 * np.sin(x))
+        dependent = basis(PARAMS, 5)
+    assert dependent.shape == (5, PARAMS.N)
+    assert np.abs(dependent @ dependent.T - np.eye(5)).max() <= 1e-14
+    # W = 1/4: to rounding the sin chain lives on odd k and the cos chain on
+    # even k; the chains alternate until the sin chain's 4 odd directions
+    # are spent, and the cos chain fills the last row
+    quarter = basis(pr.ProlateParams(M=10, N=9, K=2), 5)
+    assert quarter.shape == (9, 9)
+    assert np.abs(quarter @ quarter.T - np.eye(9)).max() <= 1e-14
+    odd = np.arange(9) % 2 == 1
+    for row, on_odd in zip(quarter, [True, False] * 4 + [False]):
+        assert np.abs(row[odd != on_odd]).max() <= 1e-15
+    # at most min(N, 2 count) rows: the cap binds before the span is full
+    assert basis(pr.ProlateParams(M=64, N=16, K=7), 20).shape == (16, 16)
+    assert basis(pr.ProlateParams(M=64, N=16, K=7), 3).shape == (6, 16)
 
 
 @pytest.mark.parametrize("params", [PARAMS, pr.ProlateParams(M=2048, N=256, K=128)])
