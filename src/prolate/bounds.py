@@ -66,12 +66,27 @@ def _check_spectrum_epsilon(epsilon: float) -> float:
     return epsilon
 
 
+def _series_order(ratio: float, scale: float, epsilon: float) -> float:
+    """max(-log(scale ((M/N)^2 - 1) eps) / (2 log(M/N)), 0), ratio = M/N > 1.
+
+    ParameterError when the logarithm's argument underflows to 0.
+    """
+    arg = scale * (ratio**2 - 1.0) * epsilon
+    if arg == 0.0:
+        raise ParameterError(
+            f"epsilon {epsilon!r} is too small for M/N = {ratio!r}:"
+            " the series order is infinite"
+        )
+    return max(-math.log(arg) / (2.0 * math.log(ratio)), 0.0)
+
+
 def transition_bound(n: int, m: int, epsilon: float) -> float:
     """Half-width cap: (4/pi^2 log(8n) + 6) log(16/eps) plus a ratio term.
 
     The ratio term is 2*max(-log(8*pi*((m/n)^2 - 1)*eps) / log(m/n), 0).
     All logarithms are natural.  Twice this value bounds the transition
-    width of the n x n spectrum at level eps.
+    width of the n x n spectrum at level eps.  ParameterError when the
+    ratio term's log argument underflows to 0.
     """
     epsilon = _check_epsilon(epsilon)
     n = _check_integer(n, "n", positive=True)
@@ -79,10 +94,7 @@ def transition_bound(n: int, m: int, epsilon: float) -> float:
     if n >= m:
         raise ParameterError(f"need n < m, got n={n}, m={m}")
     first = (4.0 / math.pi**2 * math.log(8.0 * n) + 6.0) * math.log(16.0 / epsilon)
-    ratio = m / n
-    arg = 8.0 * math.pi * (ratio**2 - 1.0) * epsilon
-    second = 2.0 * max(-math.log(arg) / math.log(ratio), 0.0)
-    return first + second
+    return first + 4.0 * _series_order(m / n, 8.0 * math.pi, epsilon)
 
 
 def transition_width(values: np.ndarray | Spectrum, epsilon: float) -> int:

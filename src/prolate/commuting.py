@@ -179,6 +179,4 @@ def eigenvectors_via_tridiagonal(fit: TridiagonalFit, b) -> Spectrum:
         )
     tri = eigh_householder_ql(fit.dense(), want_vectors=True)
     rayleigh = np.einsum("ij,ij->j", tri.vectors, b @ tri.vectors)
-    return _finish(
-        b, rayleigh, tri.vectors, "householder_ql", tri.iterations, exponent
-    )
+    return _finish(b, rayleigh, tri.vectors, tri.iterations, exponent)

@@ -3,11 +3,13 @@
 Two independent algorithms are provided on purpose: the workhorse is
 Householder reduction to tridiagonal form followed by implicit QL with
 Wilkinson shifts; a cyclic Jacobi rotation solver acts as a cross-check
-oracle on moderate sizes (its convergence theory is unconditional).
-The solvers take real input only.  singular_values_via_gram reduces the
-Gram F^H F of any F that is not real symmetric at its own size, by the
-same Householder code, with complex reflectors (as LAPACK's ZHETRD) when F
-is complex, to a real tridiagonal.
+oracle on moderate sizes (its convergence theory is unconditional).  Each
+iteration raises EigensolveError past its own limit: QL_BUDGET_PER_ROW
+steps per row, or JACOBI_MAX_SWEEPS sweeps.  The solvers take real input
+only.  singular_values_via_gram reduces the Gram F^H F of any F that is
+not real symmetric at its own size, by the same Householder code, with
+complex reflectors (as LAPACK's ZHETRD) when F is complex, to a real
+tridiagonal.
 
 The Householder reduction is blocked (LAPACK's DSYTRD scheme): panels of
 HOUSEHOLDER_BLOCK columns collect their reflectors and update the trailing
@@ -126,12 +128,11 @@ class Spectrum:
     ``vectors[:, j]`` pairs with ``values[j]``.  ``residual`` is
     max_j ||A v_j - values_j v_j||_inf, recorded only when vectors were
     requested.  ``iterations`` is the solver's work count: implicit QL
-    steps for householder_ql, sweeps for jacobi.
+    steps for eigh_householder_ql, sweeps for eigh_jacobi.
     """
 
     values: np.ndarray
     vectors: np.ndarray | None = field(default=None, repr=False)
-    method: str = ""
     residual: float | None = None
     iterations: int | None = None
 
@@ -361,14 +362,15 @@ def _householder_tridiag(a: np.ndarray, want_q: bool):
     return d, e, q
 
 
-def _ql_implicit(d, e, z, want_z, budget):
+def _ql_implicit(d, e, z):
     """Implicit QL with Wilkinson shifts on a symmetric tridiagonal matrix.
 
     d: diagonal (n,), e: subdiagonal in e[0..n-2] with e[n-1] as workspace;
-    both are overwritten.  When want_z, the rotations are accumulated into
-    the rows of z, which holds the transposed vector matrix, so that each
-    rotation updates two contiguous rows.  Returns the unused budget, or -1
-    on non-convergence.
+    both are overwritten.  Unless z is None, the rotations are accumulated
+    into the rows of z, which holds the transposed vector matrix, so that
+    each rotation updates two contiguous rows.  Returns the number of QL
+    steps taken; EigensolveError once they would exceed QL_BUDGET_PER_ROW
+    * n, which signals pathological input rather than a partial answer.
 
     A coupling deflates once |e_m| <= tol = u (max |d_i| + 2 max |e_i|),
     u = 2^-53, taken once from the input (d, e), as the Handbook's tql1 and
@@ -389,6 +391,8 @@ def _ql_implicit(d, e, z, want_z, budget):
         float(np.abs(d).max(initial=0.0))
         + 2.0 * float(np.abs(e[: n - 1]).max(initial=0.0))
     )
+    budget = QL_BUDGET_PER_ROW * n
+    steps = 0
     d_out, e_out = d, e
     d, e = d.tolist(), e.tolist()
     for l in range(n):
@@ -398,11 +402,11 @@ def _ql_implicit(d, e, z, want_z, budget):
                 m += 1
             if m == l:
                 break
-            budget -= 1
-            if budget < 0:
-                d_out[:] = d
-                e_out[:] = e
-                return -1
+            steps += 1
+            if steps > budget:
+                raise EigensolveError(
+                    f"implicit QL did not converge within {budget} sweeps"
+                )
             g = (d[l + 1] - d[l]) / (2.0 * e[l])
             r = math.hypot(g, 1.0)
             if g >= 0.0:
@@ -430,7 +434,7 @@ def _ql_implicit(d, e, z, want_z, budget):
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                if want_z:
+                if z is not None:
                     zi = z[i]
                     zi1 = z[i + 1]
                     szi1 = s * zi1
@@ -445,7 +449,7 @@ def _ql_implicit(d, e, z, want_z, budget):
                 e[m] = 0.0
     d_out[:] = d
     e_out[:] = e
-    return budget
+    return steps
 
 
 def _round_robin(m):
@@ -510,13 +514,13 @@ def _rotate_halves(pair, axis, c, signed_s, tmp):
     pair += tmp
 
 
-def _jacobi_cyclic(a, want_v, max_sweeps):
+def _jacobi_cyclic(a, want_v):
     """Parallel-ordered cyclic Jacobi on ``a`` (not modified).
 
-    Returns (sweeps, values, vectors), with values unsorted, vectors None
-    unless want_v, and sweeps -1 on non-convergence.  Converged when the
-    off-diagonal Frobenius mass drops below JACOBI_OFF_TOL times the
-    Frobenius norm of the input.
+    Returns (sweeps, values, vectors), with values unsorted and vectors
+    None unless want_v.  Converged when the off-diagonal Frobenius mass
+    drops below JACOBI_OFF_TOL times the Frobenius norm of the input;
+    EigensolveError if JACOBI_MAX_SWEEPS sweeps do not get it there.
 
     Each sweep is m - 1 rounds of m/2 disjoint rotations (_round_robin;
     odd n is padded with a zero row and column, whose rotations are the
@@ -547,13 +551,15 @@ def _jacobi_cyclic(a, want_v, max_sweeps):
         vt = (layout[:, None] == np.arange(n)).astype(np.float64)
         vbuf = np.empty_like(vt)
     thresh = JACOBI_OFF_TOL * math.sqrt(float(np.square(work).sum()))
-    for sweep in range(max_sweeps + 1):
+    for sweep in range(JACOBI_MAX_SWEEPS + 1):
         sq = np.square(work)
         sq.reshape(-1)[:: m + 1] = 0.0
         if math.sqrt(float(sq.sum())) <= thresh:
             break
-        if sweep == max_sweeps:
-            return -1, None, None
+        if sweep == JACOBI_MAX_SWEEPS:
+            raise EigensolveError(
+                f"Jacobi iteration did not converge within {JACOBI_MAX_SWEEPS} sweeps"
+            )
         for _ in range(m - 1):
             flat = work.reshape(-1)
             diag = flat[:: m + 1]
@@ -608,7 +614,7 @@ def _fix_vector_signs(vectors: np.ndarray) -> None:
     np.negative(vectors, out=vectors, where=flip)
 
 
-def _finish(a_sym, values, vectors, method, iterations, exponent) -> Spectrum:
+def _finish(a_sym, values, vectors, iterations, exponent) -> Spectrum:
     """Sort, fix vector signs, measure the residual, and scale values and
     residual back by 2^exponent (see _range_exponent)."""
     order = np.argsort(-values, kind="stable")
@@ -624,13 +630,7 @@ def _finish(a_sym, values, vectors, method, iterations, exponent) -> Spectrum:
         values = _scale_back(values, exponent, "an eigenvalue")
         if residual is not None:
             residual = math.ldexp(residual, exponent)
-    return Spectrum(
-        values=values,
-        vectors=vectors,
-        method=method,
-        residual=residual,
-        iterations=iterations,
-    )
+    return Spectrum(values, vectors, residual, iterations)
 
 
 def _parity_blocks(sym):
@@ -689,20 +689,14 @@ def _parity_vectors(even_rows, odd_rows):
 
 
 def _tridiagonal_ql(work, want_vectors):
-    """Householder reduction of ``work`` (overwritten) plus implicit QL.
+    """Householder reduction of ``work`` (overwritten), then implicit QL.
 
-    Returns the unsorted values, the transposed vectors (or an empty
-    array) and the QL step count.
+    Returns the unsorted values, the transposed vectors (or None) and the
+    QL step count.
     """
     d, e, q = _householder_tridiag(work, want_vectors)
-    z = q.T.copy() if want_vectors else np.empty((0, 0))
-    budget = QL_BUDGET_PER_ROW * d.shape[0]
-    left = _ql_implicit(d, e, z, want_vectors, budget)
-    if left < 0:
-        raise EigensolveError(
-            f"implicit QL did not converge within {budget} sweeps"
-        )
-    return d, z, budget - left
+    z = q.T.copy() if want_vectors else None
+    return d, z, _ql_implicit(d, e, z)
 
 
 def eigh_householder_ql(a, want_vectors: bool = False) -> Spectrum:
@@ -716,9 +710,8 @@ def eigh_householder_ql(a, want_vectors: bool = False) -> Spectrum:
     SymbolMatrix is split without a check, its blocks read from the
     symbol's strided view; its dense matrix is built only for the residual
     that vectors come with.  Deterministic for fixed input.  Raises
-    EigensolveError when the QL iteration exhausts its 50*n budget (per
-    block), which signals pathological input rather than returning a
-    silently partial answer.
+    EigensolveError when QL exhausts its QL_BUDGET_PER_ROW * n steps (per
+    block).
     """
     if isinstance(a, SymbolMatrix):
         a, exponent = _in_range_symbol(a)
@@ -727,17 +720,8 @@ def eigh_householder_ql(a, want_vectors: bool = False) -> Spectrum:
     else:
         sym, exponent = _as_dense_symmetric(a)
         blocks = _parity_blocks(sym)
-    return _householder_ql(sym, blocks, want_vectors, exponent)
-
-
-def _householder_ql(sym, blocks, want_vectors, exponent) -> Spectrum:
-    """Solve ``sym``, or its parity ``blocks`` unless None, and finish,
-    scaling back by 2^exponent.
-
-    A writeable ``sym`` is private and, without vectors (so without a
-    residual), is reduced in place; otherwise the reduction gets a copy.
-    """
     if blocks is None:
+        # a writeable sym is private: reduced in place unless the residual needs it
         in_place = sym.flags.writeable and not want_vectors
         values, rows, steps = _tridiagonal_ql(
             sym if in_place else sym.copy(), want_vectors
@@ -752,7 +736,7 @@ def _householder_ql(sym, blocks, want_vectors, exponent) -> Spectrum:
         steps += odd_steps
         rows = _parity_vectors(even, odd) if want_vectors else None
     vectors = rows.T if want_vectors else None
-    return _finish(sym, values, vectors, "householder_ql", steps, exponent)
+    return _finish(sym, values, vectors, steps, exponent)
 
 
 def eigh_jacobi(a, want_vectors: bool = False) -> Spectrum:
@@ -764,12 +748,8 @@ def eigh_jacobi(a, want_vectors: bool = False) -> Spectrum:
     counts sweeps; EigensolveError after JACOBI_MAX_SWEEPS of them.
     """
     sym, exponent = _as_dense_symmetric(a)
-    sweeps, values, vectors = _jacobi_cyclic(sym, want_vectors, JACOBI_MAX_SWEEPS)
-    if sweeps < 0:
-        raise EigensolveError(
-            f"Jacobi iteration did not converge within {JACOBI_MAX_SWEEPS} sweeps"
-        )
-    return _finish(sym, values, vectors, "jacobi", sweeps, exponent)
+    sweeps, values, vectors = _jacobi_cyclic(sym, want_vectors)
+    return _finish(sym, values, vectors, sweeps, exponent)
 
 
 def sqrt_clamped(values: np.ndarray) -> np.ndarray:
@@ -818,9 +798,9 @@ def singular_values_via_gram(f: np.ndarray) -> np.ndarray:
     if exponent:
         f = np.ldexp(np.ascontiguousarray(f).view(np.float64), -exponent).view(f.dtype)
     if not np.iscomplexobj(f) and f.shape[0] == f.shape[1] and np.array_equal(f, f.T):
-        squares = np.sort(np.square(eigh_householder_ql(f).values))[::-1]
+        squares = np.square(eigh_householder_ql(f).values)
     else:
         gram = f.conj().T @ f  # conj() of a real array is the array itself
         _average_adjoint(gram)
-        squares = _householder_ql(gram, None, False, 0).values
-    return _scale_back(sqrt_clamped(squares), exponent, "a singular value")
+        squares = _tridiagonal_ql(gram, False)[0]
+    return _scale_back(sqrt_clamped(np.sort(squares)[::-1]), exponent, "a singular value")

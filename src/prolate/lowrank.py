@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import _check_epsilon
+from .bounds import _check_epsilon, _series_order
 from .eigensolve import (
     HOUSEHOLDER_CHUNK_ROWS,
     EigensolveError,
@@ -85,9 +85,7 @@ def truncation_order(params: ProlateParams, epsilon: float) -> int:
     """Ceiling of max(-log(8*pi*((M/N)^2-1)*eps) / (2 log(M/N)), 0)."""
     epsilon = _check_epsilon(epsilon)
     params._check_n_below_m()
-    ratio = params.M / params.N
-    arg = 8.0 * math.pi * (ratio**2 - 1.0) * epsilon
-    return math.ceil(max(-math.log(arg) / (2.0 * math.log(ratio)), 0.0))
+    return math.ceil(_series_order(params.M / params.N, 8.0 * math.pi, epsilon))
 
 
 def tail_bound_at(params: ProlateParams, order: int) -> float:
@@ -111,9 +109,7 @@ def certified_order(params: ProlateParams, epsilon: float) -> int:
     """
     epsilon = _check_epsilon(epsilon)
     params._check_n_below_m()
-    ratio = params.M / params.N
-    arg = math.pi / 32.0 * (ratio**2 - 1.0) * epsilon
-    order = math.ceil(max(-math.log(arg) / (2.0 * math.log(ratio)), 0.0))
+    order = math.ceil(_series_order(params.M / params.N, math.pi / 32.0, epsilon))
     while tail_bound_at(params, order) > epsilon / TAIL_SHARE:  # float-boundary guard
         order += 1
     return order

@@ -47,6 +47,38 @@ def test_bound_rejects_bad_arguments():
     )
 
 
+def _orders_as_written_before(n, m, eps):
+    # transition_bound's ratio term and the unrounded orders of
+    # truncation_order and certified_order, each as it wrote its formula
+    ratio = m / n
+    arg = 8.0 * math.pi * (ratio**2 - 1.0) * eps
+    ratio_term = 2.0 * max(-math.log(arg) / math.log(ratio), 0.0)
+    truncation = max(-math.log(arg) / (2.0 * math.log(ratio)), 0.0)
+    arg = math.pi / 32.0 * (ratio**2 - 1.0) * eps
+    certified = max(-math.log(arg) / (2.0 * math.log(ratio)), 0.0)
+    return ratio_term, truncation, certified
+
+
+def test_series_order_matches_each_formula_it_replaced_bitwise():
+    eps_grid = [0.49, 0.1, 1e-3, 1e-6, 1e-9, 1e-12, 1e-13, 1e-17, 1e-100, 1e-300]
+    for n in (1, 2, 3, 7, 64, 255, 256, 1000, 1023, 4096):
+        for m in sorted({n + 1, n + 2, 2 * n - 1, 2 * n, 4 * n + 1, 1024, 8192}):
+            if m <= n:
+                continue
+            for eps in eps_grid:
+                ratio_term, trunc, cert = _orders_as_written_before(n, m, eps)
+                assert 4.0 * bounds._series_order(m / n, 8.0 * math.pi, eps) == ratio_term
+                assert bounds._series_order(m / n, 8.0 * math.pi, eps) == trunc
+                assert bounds._series_order(m / n, math.pi / 32.0, eps) == cert
+
+
+def test_bound_refuses_an_eps_whose_ratio_term_underflows():
+    # 8 pi ((m/n)^2 - 1) eps rounds to 0: no finite order, a ParameterError
+    with pytest.raises(pr.ParameterError, match="too small"):
+        pr.transition_bound(10**6, 10**6 + 1, 5e-324)
+    assert math.isfinite(pr.transition_bound(10**6, 10**6 + 1, 1e-300))
+
+
 def test_transition_width_counting():
     assert pr.transition_width(np.array([1.0, 1.0, 0.0, 0.0]), 1e-3) == 0
     assert pr.transition_width(np.array([0.9, 0.5, 0.1]), 0.2) == 1

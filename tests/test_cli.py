@@ -541,6 +541,36 @@ def test_decompose_exits_3_when_the_basis_misses_the_lowrank_part(monkeypatch, c
     assert "outside the span of its factors" in err
 
 
+_COMMUTE_HEAD = (
+    "# commuting symmetric tridiagonal from its closed form\n# M={} N={} K={}\n"
+    "N,commutator_norm,degenerate,compared,max_value_dev,min_alignment,pass\n"
+)
+
+
+# stdout of commute, the same under one and two BLAS threads; odd N included
+@pytest.mark.parametrize("mnk, row", [
+    ((64, 16, 7), "16,3.6672327126714532e-17,false,8,6.6613381477509392e-16,"
+                  "9.9999999999999967e-01,true"),
+    ((99, 33, 10), "33,5.0002287245095135e-17,false,10,6.6613381477509392e-16,"
+                   "9.9999999999999978e-01,true"),
+    ((192, 48, 23), "48,7.1087399356481219e-17,false,12,1.6653345369377348e-15,"
+                    "9.9999999999999922e-01,true"),
+    ((256, 64, 31), "64,7.5853110852361432e-17,false,13,1.8873791418627661e-15,"
+                    "9.9999999999999900e-01,true"),
+])
+def test_commute_report_bytes_are_pinned(mnk, row, capsys):
+    assert main(["commute", *(f"{k}={v}" for k, v in zip("MNK", mnk))]) == 0
+    assert capsys.readouterr() == (_COMMUTE_HEAD.format(*mnk) + row + "\n", "")
+
+
+def test_decompose_eps_too_small_for_a_finite_order_exits_2(capsys):
+    # pi/32 ((M/N)^2 - 1) eps underflows to 0: a parameter error, not a traceback
+    assert main(["decompose", "M=1024", "N=1023", "K=1", "eps=1e-320"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: epsilon 1e-320 is too small") and err.count("\n") == 1
+
+
 def test_commute_report(capsys):
     assert main(["commute", "M=64", "N=16", "K=7"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -591,6 +621,37 @@ def test_subprocess_determinism(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr.decode()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _rows_under_threads(argv, threads):
+    """Data rows of one command run in a fresh process on ``threads`` BLAS threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    proc = subprocess.run([sys.executable, "-m", "prolate", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return [line.split(",") for line in proc.stdout.splitlines()
+            if not line.startswith("#")][1:]
+
+
+def test_verdicts_agree_across_blas_thread_classes():
+    # One BLAS thread and two sum the reduction's matrix products in different
+    # orders (two and more agree).  Here an eigenvalue lies 6.7e-16 from
+    # 1 - eps at eps=1e-13, and the width reads 37 on one thread, 38 on two.
+    # Verdicts must agree; a width may differ only on a row where an
+    # eigenvalue of each run lies within N u, the solver's backward-error
+    # scale, of eps or 1 - eps.
+    mnk = ["M=1511", "N=661", "K=258"]
+    near = 661 * 2.0**-53
+    rows = [_rows_under_threads(["certify", *mnk, "eps=1e-12,1e-13"], t) for t in (1, 2)]
+    spectra = [[float(r[1]) for r in _rows_under_threads(["eigs", *mnk], t)]
+               for t in (1, 2)]
+    assert len(rows[0]) == len(rows[1]) == 2
+    for one, two in zip(*rows):
+        assert one[:4] + one[5:] == two[:4] + two[5:]  # all but the width
+        if one[4] != two[4]:
+            eps = float(one[3])
+            for lam in spectra:
+                assert min(min(abs(x - eps), abs(x - (1.0 - eps))) for x in lam) <= near
 
 
 def _capture(argv, tmp_path, launch, capsys):

@@ -348,6 +348,16 @@ def test_public_surface():
     assert not any(hasattr(pr, name) for name in removed)
 
 
+def test_readme_quick_start_runs(capsys):
+    # the README's library block, run as written: a public name it uses
+    # that is renamed or removed fails here, not only in the docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.count("\n") == 8
+
+
 def test_library_calls_no_lapack():
     # every spectrum comes from the in-house solvers: no module of the
     # package may reach numpy.linalg, scipy or a LAPACK binding, even in
