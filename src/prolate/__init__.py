@@ -13,7 +13,6 @@ never uses them, such as the CLI's ``certify``, does not pay for loading
 them; ``dir(prolate)`` and ``from prolate import *`` list them as usual.
 """
 from .bounds import (
-    SubmatrixSpec,
     TransitionReport,
     certify_dft_submatrix,
     certify_spectrum_clustering,
@@ -79,7 +78,6 @@ __all__ = [
     "ProlateParams",
     "Spectrum",
     "SplitCertificate",
-    "SubmatrixSpec",
     "SymbolMatrix",
     "TransitionReport",
     "TridiagonalFit",

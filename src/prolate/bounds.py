@@ -6,8 +6,8 @@ same quantity, evaluated at the submatrix size, caps the analogous count
 of singular values of a cyclic DFT submatrix between sqrt(eps) and
 sqrt(1 - eps).  Each certificate computes its spectrum once, checks it
 against the block's trace, and then, per eps, measures the width and
-checks the two index inequalities, recording explicitly whenever an index
-leaves the valid range and the corresponding check holds vacuously.
+checks the two index inequalities; an index outside the valid range is
+recorded as a None margin, its check holding vacuously.
 The analytic bound takes any eps in (0, 1/2); a certificate takes eps
 only down to SPECTRUM_EPS_FLOOR, the smallest level its solver resolves.
 """
@@ -106,16 +106,6 @@ def transition_width(values: np.ndarray | Spectrum, epsilon: float) -> int:
     return int(((values > epsilon) & (values < 1.0 - epsilon)).sum())
 
 
-@dataclass(frozen=True)
-class SubmatrixSpec:
-    """Location of a cyclic DFT submatrix: size m, divisor p, offsets."""
-
-    m: int
-    p: int
-    row_offset: int
-    col_offset: int
-
-
 @dataclass
 class TransitionReport:
     """Outcome of one clustering certification.
@@ -127,9 +117,11 @@ class TransitionReport:
     ``bound - width``; ``lower_margin`` is ``values[lower_index]`` minus the
     upper level 1 - eps (or sqrt(1 - eps) for singular values);
     ``upper_margin`` is the lower level eps (or sqrt(eps)) minus
-    ``values[upper_index]``.  An index outside the valid range has margin
-    None: its check is vacuous and holds trivially.  Every other check
-    holds exactly when its margin is >= 0.
+    ``values[upper_index]``.  An index outside the valid range is recorded
+    as a None margin: its check is vacuous and holds trivially.  Every
+    other check holds exactly when its margin is >= 0.  The report holds
+    what was measured, the computed ``spectrum`` or ``singular_values``,
+    and not the inputs its caller already has.
     """
 
     epsilon: float
@@ -140,18 +132,8 @@ class TransitionReport:
     cluster_point: float
     lower_margin: float | None
     upper_margin: float | None
-    params: ProlateParams | None = None
-    submatrix: SubmatrixSpec | None = None
     spectrum: Spectrum | None = field(default=None, repr=False)
     singular_values: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def lower_vacuous(self) -> bool:
-        return self.lower_margin is None
-
-    @property
-    def upper_vacuous(self) -> bool:
-        return self.upper_margin is None
 
     @property
     def lower_index_ok(self) -> bool:
@@ -175,7 +157,7 @@ class TransitionReport:
 
 
 def _clustering_report(
-    values, epsilon, half, nw2, low_level, high_level, **where
+    values, epsilon, half, nw2, low_level, high_level, **fields
 ) -> TransitionReport:
     """Width count and the two index margins around nw2, as one report."""
     n = values.size
@@ -196,7 +178,7 @@ def _clustering_report(
         upper_margin=(
             float(low_level - values[upper_index]) if 0 <= upper_index < n else None
         ),
-        **where,
+        **fields,
     )
 
 
@@ -233,7 +215,6 @@ def certify_spectrum_clustering(
             epsilon,
             1.0 - epsilon,
             cluster_point=params.cluster_point,
-            params=params,
             spectrum=spectrum,
         )
         for epsilon in epsilons
@@ -265,7 +246,6 @@ def certify_dft_submatrix(
         raise EigensolveError(
             f"singular values square-sum to {total!r}, not to L/p = {length / p!r}"
         )
-    where = SubmatrixSpec(int(m), int(p), int(row_offset), int(col_offset))
     return [
         _clustering_report(
             sigma,
@@ -275,7 +255,6 @@ def certify_dft_submatrix(
             math.sqrt(epsilon),
             math.sqrt(1.0 - epsilon),
             cluster_point=length / p,
-            submatrix=where,
             singular_values=sigma,
         )
         for epsilon in epsilons

@@ -327,17 +327,17 @@ def _run_transition(config: RunConfig):
             f"M from {lo} to {hi}",
         ]
     reports = [
-        report
+        (params, report)
         for params in grid
         for report in certify_spectrum_clustering(params, config.epsilons)
     ]
     rows = [
-        _mnk_cells(r.params)
+        _mnk_cells(params)
         + [_fmt(r.epsilon), str(r.width), _fmt(r.bound), _fmt_bool(r.width_ok)]
-        for r in reports
+        for params, r in reports
     ]
     header = "M,N,K,epsilon,width,bound_2R,pass"
-    return comments, header, rows, all(r.width_ok for r in reports)
+    return comments, header, rows, all(r.width_ok for _, r in reports)
 
 
 def _report_cells(report) -> list[str]:

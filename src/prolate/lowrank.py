@@ -19,6 +19,7 @@ of the sinc-kernel matrix against its partial Fourier projector.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -54,30 +55,32 @@ RANK_CUT = 1e-10
 # s <= 200, stays far below half an ulp, so eta_even rounds only once.
 _PI = Fraction("3.14159265358979323846264338327950288419716939937510582097494459")
 
-# B_0, B_1, ... as far as eta_even has needed them; grown in a copy, then
-# rebound, so a concurrent reader always sees a complete sequence.
-_BERNOULLI = (Fraction(1),)
+
+@functools.lru_cache(maxsize=None)
+def _bernoulli(j: int) -> Fraction:
+    """B_j from the recurrence sum_{i=0..j} C(j+1, i) B_i = 0, once per process."""
+    if j == 0:
+        return Fraction(1)
+    terms = (math.comb(j + 1, i) * b for i in range(j) if (b := _bernoulli(i)))
+    return -sum(terms) / (j + 1)
 
 
 def eta_even(s: int) -> float:
     """Dirichlet eta at an even integer s in [2, 200], from its closed form.
 
     eta(s) = (1 - 2^(1-s)) |B_s| (2 pi)^s / (2 s!), with the Bernoulli
-    number B_s from the recurrence sum_{i=0..j} C(j+1, i) B_i = 0 (each
-    B_j once per process), in rationals, pi to 62 decimals, rounded once.
+    number B_s from :func:`_bernoulli`, in rationals, pi to 62 decimals,
+    rounded once.  Each value is evaluated once per process.
     """
-    global _BERNOULLI
     s = _check_integer(s, "s")
     if s % 2 != 0 or not 2 <= s <= 200:
         raise ParameterError(f"s must be an even integer in [2, 200], got {s}")
-    bern = _BERNOULLI
-    if len(bern) <= s:
-        bern = list(bern)
-        for j in range(len(bern), s + 1):
-            total = sum(math.comb(j + 1, i) * b for i, b in enumerate(bern) if b)
-            bern.append(-total / (j + 1))
-        _BERNOULLI = bern = tuple(bern)
-    exact = (1 - Fraction(1, 2 ** (s - 1))) * abs(bern[s]) * (2 * _PI) ** s
+    return _eta_float(s)
+
+
+@functools.lru_cache(maxsize=None)
+def _eta_float(s: int) -> float:
+    exact = (1 - Fraction(1, 2 ** (s - 1))) * abs(_bernoulli(s)) * (2 * _PI) ** s
     return float(exact / (2 * math.factorial(s)))
 
 
@@ -122,15 +125,13 @@ class LowRankParts:
     The low-rank part is the Toeplitz matrix ``SymbolMatrix(symbol)`` of
     the first ``order`` series terms at offsets 0..N-1, of rank at most
     4*order (:func:`_range_rank`).  ``tail_bound`` certifies the maximum
-    absolute row sum of what was dropped, and ``entry_bound`` is the
-    per-entry version (tail_bound / N).
+    absolute row sum of what was dropped; tail_bound / N bounds each of
+    its entries.
     """
 
     order: int
     symbol: np.ndarray = field(repr=False)
     tail_bound: float
-    entry_bound: float
-    epsilon: float
 
 
 def _split_plan(params: ProlateParams, epsilon: float, order) -> tuple[int, float]:
@@ -168,13 +169,7 @@ def lowrank_tail_split(
     for r in range(1, order + 1):
         scale = 2.0 / (m * math.pi) * eta_even(2 * r)
         symbol += scale * (rows / m) ** (2 * r - 1) * oscillation
-    return LowRankParts(
-        order=order,
-        symbol=symbol,
-        tail_bound=bound,
-        entry_bound=bound / n,
-        epsilon=float(epsilon),
-    )
+    return LowRankParts(order=order, symbol=symbol, tail_bound=bound)
 
 
 @dataclass(frozen=True)
@@ -315,7 +310,7 @@ def certify_lowrank_split(
         rank, rho = _range_rank(params, parts)
         certificates.append(
             SplitCertificate(
-                epsilon=parts.epsilon,
+                epsilon=epsilon,
                 n=params.N,
                 order=parts.order,
                 rank=rank,

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -532,6 +533,86 @@ def test_certify_dft_report_bytes_are_pinned(argv, rows, capsys):
     assert capsys.readouterr() == (_DFT_HEAD + "".join(r + "\n" for r in rows), "")
 
 
+_CERTIFY_HEAD = (
+    "# eigenvalue clustering certificates\n# cluster_point = {}\n"
+    "M,N,K,epsilon,width,bound_2R,lower_index_ok,upper_index_ok,width_ok,pass\n"
+)
+
+
+# stdout of certify on the prolate block at the default eps, the same under
+# one and two BLAS threads; odd N included
+@pytest.mark.parametrize("mnk, cluster_point, rows", [
+    ("M=1024 N=256 K=128", "6.4250000000000000e+01", [
+        "1024,256,128,1.0000000000000000e-03,9,1.7880619212233674e+02,true,true,true,true",
+        "1024,256,128,9.9999999999999995e-07,17,3.2432270907269600e+02,true,true,true,true",
+        "1024,256,128,1.0000000000000001e-09,23,4.6983922602305529e+02,true,true,true,true",
+        "1024,256,128,9.9999999999999998e-13,30,6.1535574297341464e+02,true,true,true,true",
+    ]),
+    ("M=99 N=33 K=10", "7.0000000000000000e+00", [
+        "99,33,10,1.0000000000000000e-03,6,1.6575693474812974e+02,true,true,true,true",
+        "99,33,10,9.9999999999999995e-07,10,3.0502177819700609e+02,true,true,true,true",
+        "99,33,10,1.0000000000000001e-09,14,4.4428662164588252e+02,true,true,true,true",
+        "99,33,10,9.9999999999999998e-13,16,5.8355146509475890e+02,true,true,true,true",
+    ]),
+])
+def test_certify_report_bytes_are_pinned(mnk, cluster_point, rows, capsys):
+    assert main(["certify", *mnk.split()]) == 0
+    text = _CERTIFY_HEAD.format(cluster_point) + "".join(r + "\n" for r in rows)
+    assert capsys.readouterr() == (text, "")
+
+
+_TRANSITION_COLUMNS = "M,N,K,epsilon,width,bound_2R,pass"
+_TRANSITION_SINGLE = [
+    "256,64,31,1.0000000000000000e-03,7,1.6792850685169833e+02,true",
+    "256,64,31,9.9999999999999995e-07,13,3.0568286288692133e+02,true",
+    "256,64,31,1.0000000000000001e-09,18,4.4343721892214438e+02,true",
+    "256,64,31,9.9999999999999998e-13,22,5.8119157495736738e+02,true",
+]
+
+
+# stdout of transition at the default eps, the same under one and two BLAS
+# threads: the single form and the doubling sweep with N = M/4, K = M/8
+@pytest.mark.parametrize("argv, notes, rows", [
+    ("M=256 N=64 K=31", ["transition width against twice the analytic half-width cap"],
+     _TRANSITION_SINGLE),
+    ("ratio-sweep M=64..512", ["doubling sweep with N = M/4, K = M/8", "M from 64 to 512"], [
+        "64,16,8,1.0000000000000000e-03,5,1.5705082158105992e+02,true",
+        "64,16,8,9.9999999999999995e-07,9,2.8704301670114666e+02,true",
+        "64,16,8,1.0000000000000001e-09,11,4.1703521182123342e+02,true",
+        "64,16,8,9.9999999999999998e-13,12,5.4702740694132012e+02,true",
+        "128,32,16,1.0000000000000000e-03,6,1.6248966421637914e+02,true",
+        "128,32,16,9.9999999999999995e-07,11,2.9636293979403405e+02,true",
+        "128,32,16,1.0000000000000001e-09,15,4.3023621537168890e+02,true",
+        "128,32,16,9.9999999999999998e-13,18,5.6410949094934381e+02,true",
+        "256,64,32,1.0000000000000000e-03,7,1.6792850685169833e+02,true",
+        "256,64,32,9.9999999999999995e-07,13,3.0568286288692133e+02,true",
+        "256,64,32,1.0000000000000001e-09,17,4.4343721892214438e+02,true",
+        "256,64,32,9.9999999999999998e-13,21,5.8119157495736738e+02,true",
+        "512,128,64,1.0000000000000000e-03,8,1.7336734948701755e+02,true",
+        "512,128,64,9.9999999999999995e-07,15,3.1500278597980872e+02,true",
+        "512,128,64,1.0000000000000001e-09,21,4.5663822247259986e+02,true",
+        "512,128,64,9.9999999999999998e-13,26,5.9827365896539106e+02,true",
+    ]),
+])
+def test_transition_report_bytes_are_pinned(argv, notes, rows, capsys):
+    assert main(["transition", *argv.split()]) == 0
+    lines = [f"# {note}" for note in notes] + [_TRANSITION_COLUMNS, *rows]
+    assert capsys.readouterr() == ("".join(line + "\n" for line in lines), "")
+
+
+def test_transition_json_bytes_are_pinned(capsys):
+    # the pinned single-point rows as format=json: keys sorted, two-space indent
+    assert main(["transition", "M=256", "N=64", "K=31", "format=json"]) == 0
+    columns = _TRANSITION_COLUMNS.split(",")
+    doc = {
+        "columns": columns,
+        "command": "transition",
+        "notes": ["transition width against twice the analytic half-width cap"],
+        "rows": [dict(zip(columns, row.split(","))) for row in _TRANSITION_SINGLE],
+    }
+    assert capsys.readouterr() == (json.dumps(doc, indent=2, sort_keys=True) + "\n", "")
+
+
 def test_decompose_exits_3_when_the_basis_misses_the_lowrank_part(monkeypatch, capsys):
     basis = prolate.lowrank._range_basis
     monkeypatch.setattr(prolate.lowrank, "_range_basis", lambda *args: basis(*args)[1:])
@@ -633,25 +714,55 @@ def _rows_under_threads(argv, threads):
             if not line.startswith("#")][1:]
 
 
+# Kahan's bound on the eigenvalue errors of one solve with vectors V and
+# values Lambda of B: sqrt(||R||_1 ||R||_inf) / sqrt(1 - sqrt(||X||_1 ||X||_inf)),
+# R = B V - V Lambda, X = V^T V - I.  Prints [delta, values] as JSON; the
+# values equal those of the values-only solve that certify reads, bit for bit
+# (test_values_only_ql_matches_scalar_reference_bitwise).
+_KAHAN = """
+import json, sys
+import numpy as np
+import prolate as pr
+b = pr.periodic_prolate(pr.ProlateParams(*map(int, sys.argv[1:])))
+s = pr.eigh_householder_ql(b, want_vectors=True)
+r = b.dense() @ s.vectors - s.vectors * s.values
+x = s.vectors.T @ s.vectors - np.eye(s.values.size)
+norm = lambda a: np.sqrt(np.abs(a).sum(axis=0).max() * np.abs(a).sum(axis=1).max())
+print(json.dumps([norm(r) / np.sqrt(1.0 - norm(x)), s.values.tolist()]))
+"""
+
+
+def _kahan_under_threads(mnk, threads):
+    """(delta, eigenvalues) of the block, solved in a fresh process on ``threads``."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    proc = subprocess.run([sys.executable, "-c", _KAHAN, *map(str, mnk)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    delta, values = json.loads(proc.stdout)
+    return delta, np.array(values)
+
+
 def test_verdicts_agree_across_blas_thread_classes():
     # One BLAS thread and two sum the reduction's matrix products in different
-    # orders (two and more agree).  Here an eigenvalue lies 6.7e-16 from
+    # orders (two and more agree).  Here an eigenvalue lies within 2e-15 of
     # 1 - eps at eps=1e-13, and the width reads 37 on one thread, 38 on two.
     # Verdicts must agree; a width may differ only on a row where an
-    # eigenvalue of each run lies within N u, the solver's backward-error
-    # scale, of eps or 1 - eps.
-    mnk = ["M=1511", "N=661", "K=258"]
-    near = 661 * 2.0**-53
-    rows = [_rows_under_threads(["certify", *mnk, "eps=1e-12,1e-13"], t) for t in (1, 2)]
-    spectra = [[float(r[1]) for r in _rows_under_threads(["eigs", *mnk], t)]
-               for t in (1, 2)]
+    # eigenvalue of each run lies within that run's Kahan bound delta of eps
+    # or 1 - eps.  delta (about 5e-14) stays below the 7.1e-14 between eps
+    # and its nearest eigenvalue, so only the 1 - eps side can qualify.
+    mnk = (1511, 661, 258)
+    argv = [f"{key}={value}" for key, value in zip("MNK", mnk)]
+    rows = [_rows_under_threads(["certify", *argv, "eps=1e-12,1e-13"], t) for t in (1, 2)]
+    runs = [_kahan_under_threads(mnk, t) for t in (1, 2)]
     assert len(rows[0]) == len(rows[1]) == 2
+    for delta, lam in runs:
+        assert np.abs(lam - 1e-13).min() > delta
     for one, two in zip(*rows):
         assert one[:4] + one[5:] == two[:4] + two[5:]  # all but the width
         if one[4] != two[4]:
             eps = float(one[3])
-            for lam in spectra:
-                assert min(min(abs(x - eps), abs(x - (1.0 - eps))) for x in lam) <= near
+            for delta, lam in runs:
+                assert min(np.abs(lam - eps).min(), np.abs(lam - (1.0 - eps)).min()) <= delta
 
 
 def _capture(argv, tmp_path, launch, capsys):

@@ -34,7 +34,7 @@ def test_eta_monotone_and_bounded():
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
-def test_eta_from_the_shared_bernoulli_sequence_matches_a_fresh_recurrence(monkeypatch):
+def test_eta_from_the_shared_bernoulli_sequence_matches_a_fresh_recurrence():
     # reference: the closed form over B_0..B_200 from a recurrence of this test's own
     bern = [Fraction(1)]
     for j in range(1, 201):
@@ -46,16 +46,24 @@ def test_eta_from_the_shared_bernoulli_sequence_matches_a_fresh_recurrence(monke
         for s in range(2, 201, 2)
     }
     # grown from B_0 one call at a time, then read back in descending order
-    monkeypatch.setattr(pr.lowrank, "_BERNOULLI", (Fraction(1),))
+    pr.lowrank._bernoulli.cache_clear()
+    pr.lowrank._eta_float.cache_clear()
     for order in (range(2, 201, 2), range(200, 1, -2)):
         for s in order:
             assert pr.eta_even(s) == expected[s], s
-    assert pr.lowrank._BERNOULLI == tuple(bern)
+    assert [pr.lowrank._bernoulli(j) for j in range(201)] == bern
 
 
 def test_eta_rejects_bad_arguments():
     for s in (3, 1, 0, -2, 202, 2.0, True):
         with pytest.raises(pr.ParameterError):
+            pr.eta_even(s)
+
+
+def test_cached_eta_still_rejects_a_float_or_bool_equal_to_a_cached_s():
+    assert pr.eta_even(2) == pr.eta_even(np.int64(2))
+    for s in (2.0, True, np.float64(2.0)):
+        with pytest.raises(pr.ParameterError, match="s must be an integer"):
             pr.eta_even(s)
 
 
@@ -177,8 +185,8 @@ def test_split_certificates(eps, order):
     row_sum = np.abs(residual).sum(axis=1).max()
     assert row_sum <= parts.tail_bound
     assert parts.tail_bound <= eps / 16.0
-    assert np.abs(residual).max() <= parts.entry_bound
-    assert parts.entry_bound <= eps / (16.0 * PARAMS.N)
+    assert np.abs(residual).max() <= parts.tail_bound / PARAMS.N
+    assert parts.tail_bound / PARAMS.N <= eps / (16.0 * PARAMS.N)
 
 
 def test_split_factored_form_matches():
@@ -292,7 +300,7 @@ def test_split_with_explicit_order_checks_eps():
     for eps in (5.0, 0.5, 0.0, -1e-3):
         with pytest.raises(pr.ParameterError, match="epsilon must lie in"):
             pr.lowrank_tail_split(small, eps, order=2)
-    assert pr.lowrank_tail_split(small, 1e-3, order=2).epsilon == 1e-3
+    assert pr.lowrank_tail_split(small, 1e-3, order=2).order == 2
 
 
 @pytest.mark.parametrize("params", [PARAMS, pr.ProlateParams(M=512, N=128, K=64)])
