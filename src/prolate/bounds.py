@@ -110,18 +110,17 @@ def transition_width(values: np.ndarray | Spectrum, epsilon: float) -> int:
 class TransitionReport:
     """Outcome of one clustering certification.
 
-    ``width`` counts values strictly inside the transition band, ``bound``
-    is twice the half-width cap, and ``cluster_point`` is where the
-    near-unit plateau ends.  The margins say how close each check came to
-    failing, and every verdict is derived from them: ``width_margin`` is
-    ``bound - width``; ``lower_margin`` is ``values[lower_index]`` minus the
-    upper level 1 - eps (or sqrt(1 - eps) for singular values);
-    ``upper_margin`` is the lower level eps (or sqrt(eps)) minus
-    ``values[upper_index]``.  An index outside the valid range is recorded
-    as a None margin: its check is vacuous and holds trivially.  Every
-    other check holds exactly when its margin is >= 0.  The report holds
-    what was measured, the computed ``spectrum`` or ``singular_values``,
-    and not the inputs its caller already has.
+    ``width`` counts values strictly inside the transition band and
+    ``bound`` is twice the half-width cap.  The margins say how close each
+    check came to failing, and every verdict is derived from them:
+    ``width_margin`` is ``bound - width``; ``lower_margin`` is
+    ``values[lower_index]`` minus the upper level 1 - eps (or sqrt(1 - eps)
+    for singular values); ``upper_margin`` is the lower level eps (or
+    sqrt(eps)) minus ``values[upper_index]``.  An index outside the valid
+    range is recorded as a None margin: its check is vacuous and holds
+    trivially.  Every other check holds exactly when its margin is >= 0.
+    The report holds what was measured, the computed ``spectrum`` or
+    ``singular_values``, and not the inputs its caller already has.
     """
 
     epsilon: float
@@ -129,7 +128,6 @@ class TransitionReport:
     bound: float
     lower_index: int
     upper_index: int
-    cluster_point: float
     lower_margin: float | None
     upper_margin: float | None
     spectrum: Spectrum | None = field(default=None, repr=False)
@@ -214,7 +212,6 @@ def certify_spectrum_clustering(
             nw2,
             epsilon,
             1.0 - epsilon,
-            cluster_point=params.cluster_point,
             spectrum=spectrum,
         )
         for epsilon in epsilons
@@ -254,7 +251,6 @@ def certify_dft_submatrix(
             2 * (length // (2 * p)),
             math.sqrt(epsilon),
             math.sqrt(1.0 - epsilon),
-            cluster_point=length / p,
             singular_values=sigma,
         )
         for epsilon in epsilons

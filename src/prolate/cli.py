@@ -64,8 +64,9 @@ MAX_DENSE_DIM = 4096
 # p=2` takes 4.9 s and 227 MB peak (best of 2, two cores, no numba).
 MAX_DFT_DIM = 2048
 # Largest N for commute, which solves B and its tridiagonal with vectors.
-# At the limit `commute M=3008 N=752 K=375` takes 2.5 s (median of 8) and
-# 79 MB peak (two cores, no numba); the fit at N=768 takes 3.2 s in process.
+# At the limit `commute M=3008 N=752 K=375` takes 1.8-1.9 s (medians of two
+# batches of 8) and 79 MB peak (two cores, two BLAS threads, no numba); the
+# fit at N=768 takes 2.1 s in process (median of 5).
 COMMUTE_MAX_N = 752
 
 USAGE = """\

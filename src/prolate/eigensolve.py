@@ -52,10 +52,11 @@ the 1831 of the relative test |e_m| + |d_m| + |d_m+1| == |d_m| + |d_m+1|.
 A real symmetric matrix's singular values are its |eigenvalues|, so
 singular_values_via_gram solves it without forming the Gram.
 
-The QL kernel keeps its scalar recurrence in Python but applies each plane
-rotation as in-place numpy updates of two contiguous rows (it keeps its
-vectors transposed), with the same per-element arithmetic as an
-element-by-element loop, so results are bitwise identical to it.  The
+Both solvers apply every plane rotation through _rotate_halves, in place
+and elementwise, with the same per-element arithmetic as an
+element-by-element loop, so results are bitwise identical to it.  The QL
+kernel keeps its scalar recurrence in Python and turns two contiguous
+vector rows per rotation (it keeps its vectors transposed).  The
 recurrence itself runs on Python floats copied out of the tridiagonal,
 because indexing numpy scalars dominated it; both are IEEE doubles, so this
 too leaves every bit of the output unchanged.
@@ -67,11 +68,11 @@ rotations, and a round is applied at once, as elementwise updates of the
 two column halves and the two row halves of a matrix kept permuted so that
 its pairs are (k, h + k).  On the clustered prolate spectra it keeps the
 row-cyclic sweep counts only with Rutishauser's skip of rotations too small
-to move a diagonal entry (_rotation_tangents).  It uses no matrix product
-and no Householder or QL code, so it stays an independent route.  With
-vectors, on a random symmetric matrix, one call takes 0.05-0.07 s at
-n = 64, 0.25-0.32 s at n = 128 and 2.1-2.2 s at n = 256 (fresh process,
-numpy 2.4, 2 cores).
+to move a diagonal entry (_rotation_tangents).  Beyond _rotate_halves it
+uses no matrix product and no Householder or QL code, so it stays an
+independent route.  With vectors, on a random symmetric matrix, one call
+takes about 0.04 s at n = 64, 0.17-0.20 s at n = 128 and 1.5-1.7 s at
+n = 256 (fresh process, 3 runs each, numpy 2.4, 2 cores, 2 BLAS threads).
 """
 from __future__ import annotations
 
@@ -393,6 +394,8 @@ def _ql_implicit(d, e, z):
     )
     budget = QL_BUDGET_PER_ROW * n
     steps = 0
+    if z is not None:
+        signed_s, tmp = np.empty((2, 1)), np.empty((2, z.shape[1]))
     d_out, e_out = d, e
     d, e = d.tolist(), e.tolist()
     for l in range(n):
@@ -435,14 +438,9 @@ def _ql_implicit(d, e, z):
                 d[i + 1] = g + p
                 g = c * r - b
                 if z is not None:
-                    zi = z[i]
-                    zi1 = z[i + 1]
-                    szi1 = s * zi1
-                    szi = s * zi
-                    zi *= c
-                    zi -= szi1
-                    zi1 *= c
-                    zi1 += szi
+                    signed_s[0, 0] = -s
+                    signed_s[1, 0] = s
+                    _rotate_halves(z[i : i + 2], c, signed_s, tmp)
             if not underflow:
                 d[l] -= p
                 e[l] = g
@@ -503,13 +501,14 @@ def _rotation_tangents(app, aqq, apq):
     return np.where(live, t, 0.0)
 
 
-def _rotate_halves(pair, axis, c, signed_s, tmp):
-    """Rotate the two halves of ``pair`` along ``axis`` in place, elementwise.
+def _rotate_halves(pair, c, signed_s, tmp):
+    """Rotate the halves x = pair[0] and y = pair[1] in place, elementwise.
 
-    With x and y the halves: x <- x c - y s and y <- y c + x s, where c
-    and signed_s = (-s, s) broadcast against ``pair``.
+    x <- x c - y s and y <- y c + x s, where c and signed_s = (-s, s)
+    broadcast against ``pair``; tmp is scratch of pair's shape.  In IEEE
+    arithmetic x c + (-s) y is x c - s y exactly.
     """
-    np.multiply(np.flip(pair, axis), signed_s, out=tmp)
+    np.multiply(pair[::-1], signed_s, out=tmp)
     pair *= c
     pair += tmp
 
@@ -546,6 +545,7 @@ def _jacobi_cyclic(a, want_v):
     # next[i, j] = current[step[i], step[j]], read from the upper triangle
     gather = np.minimum.outer(step, step) * m + np.maximum.outer(step, step)
     tmp = np.empty((m, m))
+    signed_s = np.empty((2, h))  # (-s, s) of the current round
     vt = vbuf = None
     if want_v:  # transposed: row pos holds the vector of layout position pos
         vt = (layout[:, None] == np.arange(n)).astype(np.float64)
@@ -569,13 +569,13 @@ def _jacobi_cyclic(a, want_v):
             new_pp = app - t * apq
             new_qq = aqq + t * apq
             c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            signed_s = np.stack((-s, s))
+            np.negative(np.multiply(t, c, out=signed_s[1]), out=signed_s[0])
             _rotate_halves(
-                work.reshape(m, 2, h), 1, c, signed_s, tmp.reshape(m, 2, h)
+                work.reshape(m, 2, h).swapaxes(0, 1), c, signed_s[:, None],
+                tmp.reshape(m, 2, h).swapaxes(0, 1),
             )
             _rotate_halves(
-                work.reshape(2, h, m), 0, c[:, None], signed_s[:, :, None],
+                work.reshape(2, h, m), c[:, None], signed_s[:, :, None],
                 tmp.reshape(2, h, m),
             )
             diag[:h] = new_pp
@@ -585,7 +585,7 @@ def _jacobi_cyclic(a, want_v):
             work, buf = buf, work
             if want_v:
                 _rotate_halves(
-                    vt.reshape(2, h, n), 0, c[:, None], signed_s[:, :, None],
+                    vt.reshape(2, h, n), c[:, None], signed_s[:, :, None],
                     tmp.reshape(-1)[: m * n].reshape(2, h, n),
                 )
                 np.take(vt, step, axis=0, out=vbuf, mode="clip")
@@ -744,7 +744,7 @@ def eigh_jacobi(a, want_vectors: bool = False) -> Spectrum:
 
     The oracle path: independent of the Householder and QL code, and
     meant for the sizes the tests cross-check, up to a few hundred (with
-    vectors about 0.06 s at n = 64 and 2.2 s at n = 256).  ``iterations``
+    vectors about 0.04 s at n = 64 and 1.6 s at n = 256).  ``iterations``
     counts sweeps; EigensolveError after JACOBI_MAX_SWEEPS of them.
     """
     sym, exponent = _as_dense_symmetric(a)

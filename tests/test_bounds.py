@@ -92,7 +92,6 @@ def test_certify_clustering_small_case():
     params = pr.ProlateParams(M=64, N=16, K=8)
     (report,) = pr.certify_spectrum_clustering(params, [1e-3])
     assert report.passed
-    assert report.cluster_point == pytest.approx(16 * 17 / 64)
     assert report.width <= report.bound
 
 
@@ -372,18 +371,14 @@ def test_margins_sign_on_failing_and_boundary_checks():
 
     # indices 1 and 4 around nw2 = 2 with half-width 0.4 (bound 0.8)
     levels = dict(epsilon=0.1, half=0.4, nw2=2, low_level=0.1, high_level=0.9)
-    failing = _clustering_report(
-        np.array([0.99, 0.5, 0.5, 0.5, 0.2]), cluster_point=2.5, **levels
-    )
+    failing = _clustering_report(np.array([0.99, 0.5, 0.5, 0.5, 0.2]), **levels)
     assert not (failing.lower_index_ok or failing.upper_index_ok or failing.width_ok)
     assert failing.lower_margin == 0.5 - 0.9
     assert failing.upper_margin == 0.1 - 0.2
     assert failing.width_margin == 0.8 - 4
     _assert_margins_match_verdicts(failing)
     # a value exactly on its level passes with margin zero
-    boundary = _clustering_report(
-        np.array([1.0, 0.9, 1.0, 1.0, 0.1]), cluster_point=4.0, **levels
-    )
+    boundary = _clustering_report(np.array([1.0, 0.9, 1.0, 1.0, 0.1]), **levels)
     assert (boundary.lower_margin, boundary.upper_margin) == (0.0, 0.0)
     assert boundary.lower_index_ok and boundary.upper_index_ok
     _assert_margins_match_verdicts(boundary)

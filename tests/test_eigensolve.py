@@ -932,8 +932,16 @@ def _reference_inputs():
     rng = np.random.default_rng(31)
     for n in (1, 2, 3, 5, 12, 64):
         yield f"random-{n}", _random_symmetric(rng, n)
-    yield "prolate-256-64-31", pr.periodic_prolate(
-        pr.ProlateParams(M=256, N=64, K=31)
+    params = pr.ProlateParams(M=256, N=64, K=31)
+    yield "prolate-256-64-31", pr.periodic_prolate(params).dense()
+    # the commute route's solve: every Householder column is skipped, so Q
+    # starts as I and QL does all the rotating (125 steps)
+    yield "tridiagonal-256-64-31", pr.fit_commuting_tridiagonal(
+        pr.periodic_prolate(params), params
+    ).dense()
+    # odd N: the even parity block is bordered
+    yield "prolate-99-33-10", pr.periodic_prolate(
+        pr.ProlateParams(M=99, N=33, K=10)
     ).dense()
 
 
