@@ -38,8 +38,8 @@ from .kernels import (
 # Each lazily bound name and the submodule that defines it.
 _LAZY = {
     **dict.fromkeys(
-        ("commuting", "DegenerateFitError", "TridiagonalFit",
-         "eigenvectors_via_tridiagonal", "fit_commuting_tridiagonal"),
+        ("commuting", "TridiagonalFit", "eigenvectors_via_tridiagonal",
+         "fit_commuting_tridiagonal"),
         "commuting",
     ),
     **dict.fromkeys(
@@ -71,7 +71,6 @@ def __dir__() -> list[str]:
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegenerateFitError",
     "EigensolveError",
     "LowRankParts",
     "ParameterError",

@@ -28,25 +28,15 @@ VALUE_DEV_TOL = 1e-8
 EIGENVALUE_GAP = 1e-6
 
 
-class DegenerateFitError(EigensolveError):
-    """The tridiagonal is reducible; its eigenvectors do not determine B's."""
-
-
-def _tridiagonal(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
-    t = np.diag(diag)
-    idx = np.arange(diag.size - 1)
-    t[idx, idx + 1] = offdiag
-    t[idx + 1, idx] = offdiag
-    return t
-
-
 @dataclass
 class TridiagonalFit:
     """Symmetric tridiagonal commutant of a symmetric matrix.
 
-    ``commutator_norm`` is ||BT - TB||_F for the unit-Frobenius-norm T;
+    ``diag`` and ``offdiag`` are T's diagonals, ``dense()`` is T itself,
+    and ``commutator_norm`` is ||BT - TB||_F for the unit-Frobenius-norm T.
     ``degenerate`` flags an off-diagonal entry <= 0, where T may split and
-    its eigenvalues need not be distinct.
+    its eigenvalues need not be distinct; a fit of a prolate block never
+    is, so only a fit built by hand can be.
 
     A non-degenerate fit within COMMUTATOR_TOL is checked against the
     direct eigendecomposition of B: ``alignment[j]`` is |<v_B, v_T>| for
@@ -55,7 +45,9 @@ class TridiagonalFit:
     which ``compared``, ``max_value_dev`` (Rayleigh quotient against
     direct eigenvalue) and ``min_alignment`` are taken, and ``tridiagonal``
     keeps the compared spectrum.  Otherwise both are None and nothing is
-    compared.
+    compared.  ``compared`` may be 0 even then (at N = M, B is a
+    projector and no eigenvalue is that well separated); ``passed`` then
+    rests on the commutator alone.
     """
 
     diag: np.ndarray
@@ -66,10 +58,6 @@ class TridiagonalFit:
     compared: int = 0
     max_value_dev: float = 0.0
     min_alignment: float = 1.0
-
-    @property
-    def n(self) -> int:
-        return self.diag.size
 
     @property
     def degenerate(self) -> bool:
@@ -85,7 +73,11 @@ class TridiagonalFit:
         )
 
     def dense(self) -> np.ndarray:
-        return _tridiagonal(self.diag, self.offdiag)
+        t = np.diag(self.diag)
+        idx = np.arange(self.diag.size - 1)
+        t[idx, idx + 1] = self.offdiag
+        t[idx + 1, idx] = self.offdiag
+        return t
 
 
 def _compare_with_direct(fit: TridiagonalFit, b: np.ndarray) -> None:
@@ -165,7 +157,7 @@ def eigenvectors_via_tridiagonal(fit: TridiagonalFit, b) -> Spectrum:
     quotient v^T B v descending, and those quotients become the values.
     """
     if fit.degenerate:
-        raise DegenerateFitError(
+        raise EigensolveError(
             "tridiagonal has an off-diagonal <= 0; eigenvectors are not determined"
         )
     if fit.commutator_norm > COMMUTATOR_TOL:
@@ -173,9 +165,9 @@ def eigenvectors_via_tridiagonal(fit: TridiagonalFit, b) -> Spectrum:
             f"commutator norm {fit.commutator_norm:.3e} exceeds {COMMUTATOR_TOL}"
         )
     b, exponent = _as_dense_symmetric(b)
-    if b.shape[0] != fit.n:
+    if b.shape[0] != fit.diag.size:
         raise ParameterError(
-            f"matrix size {b.shape[0]} does not match the fit size {fit.n}"
+            f"matrix size {b.shape[0]} does not match the fit size {fit.diag.size}"
         )
     tri = eigh_householder_ql(fit.dense(), want_vectors=True)
     rayleigh = np.einsum("ij,ij->j", tri.vectors, b @ tri.vectors)

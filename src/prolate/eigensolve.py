@@ -621,11 +621,11 @@ def _finish(a_sym, values, vectors, iterations, exponent) -> Spectrum:
     values = values[order]
     residual = None
     if vectors is not None:
-        vectors = np.ascontiguousarray(vectors[:, order])
+        vectors = vectors.take(order, axis=1)  # one C-ordered copy, whatever the layout
         _fix_vector_signs(vectors)
-        residual = float(
-            np.abs(a_sym @ vectors - vectors * values[None, :]).max(initial=0.0)
-        )
+        misfit = a_sym @ vectors
+        misfit -= vectors * values
+        residual = float(np.abs(misfit, out=misfit).max(initial=0.0))
     if exponent:
         values = _scale_back(values, exponent, "an eigenvalue")
         if residual is not None:
@@ -735,6 +735,7 @@ def eigh_householder_ql(a, want_vectors: bool = False) -> Spectrum:
         values = np.concatenate((values, odd_values))
         steps += odd_steps
         rows = _parity_vectors(even, odd) if want_vectors else None
+        blocks = even = odd = None  # free them for the residual
     vectors = rows.T if want_vectors else None
     return _finish(sym, values, vectors, steps, exponent)
 

@@ -126,10 +126,17 @@ def test_failed_fits_compare_nothing():
     assert (fit.compared, fit.max_value_dev, fit.min_alignment) == (0, 0.0, 1.0)
 
 
-@pytest.mark.parametrize("m,n,k", [(64, 16, 7), (96, 48, 11), (128, 32, 15)])
+@pytest.mark.parametrize(
+    "m,n,k",
+    [(64, 16, 7), (96, 48, 11), (128, 32, 15), (2, 2, 0), (9, 9, 3), (2**53, 3, 1)],
+)
 def test_fit_succeeds_on_admissible_parameters(m, n, k):
+    # off_n = sin(pi(n+1)/M) sin(pi(N-1-n)/M) has both angles in (0, pi)
+    # whenever N <= M, so no fit of a prolate block is degenerate: at
+    # N = M and at M = 2^53 the smallest entry is 0.038 and 1.4e-31
     fit, _ = _fit(m, n, k)
     assert fit.commutator_norm <= 1e-15
+    assert fit.offdiag.min() > 0.0
     assert not fit.degenerate
 
 
@@ -169,7 +176,7 @@ def test_eigenvectors_require_nondegenerate_fit():
     )
     assert fit.degenerate
     assert not fit.passed
-    with pytest.raises(pr.DegenerateFitError):
+    with pytest.raises(pr.EigensolveError, match="off-diagonal <= 0"):
         pr.eigenvectors_via_tridiagonal(fit, np.eye(6))
 
 

@@ -265,6 +265,16 @@ def test_values_only_symbol_solve_allocates_less_than_the_matrix():
     assert _peak_bytes(lambda: pr.eigh_householder_ql(block)) < 8 * n * n
 
 
+def test_vectors_solve_frees_its_blocks_before_the_residual():
+    # the dense matrix, the unsorted and the sorted vectors, the misfit
+    # A V - V diag(values) and the scaled vectors: five N x N arrays; the
+    # parity blocks and their vector rows are gone by then
+    n = 512
+    block = pr.periodic_prolate(pr.ProlateParams(M=2048, N=n, K=256))
+    peak = _peak_bytes(lambda: pr.eigh_householder_ql(block, want_vectors=True))
+    assert peak <= 5.5 * 8 * n * n
+
+
 def test_complex_gram_is_reduced_at_its_own_size():
     # two L x L complex arrays at the Gram product (the Gram and the
     # conjugate of F), and the Gram plus band buffers while it is reduced;

@@ -334,16 +334,17 @@ def test_public_surface():
     for name in pr.__all__:
         assert getattr(pr, name) is not None, name
     # the lowrank and commuting names are bound lazily, yet listed as before
-    assert len(pr.__all__) == 29
+    assert len(pr.__all__) == 28
     assert set(pr.__all__) <= set(dir(pr))
     namespace = {}
     exec("from prolate import *", namespace)
     assert namespace.keys() - {"__builtins__"} == set(pr.__all__)
     with pytest.raises(AttributeError, match="no_such_name"):
         pr.no_such_name
-    removed = {"EtaZetaTable", "bandlimit_index_set", "dft_matrix",
-               "dirichlet_entry", "hermitian_embedding", "partial_fourier",
-               "sampled_exponential", "SubmatrixSpec", "tail_term"}
+    removed = {"DegenerateFitError", "EtaZetaTable", "bandlimit_index_set",
+               "dft_matrix", "dirichlet_entry", "hermitian_embedding",
+               "partial_fourier", "sampled_exponential", "SubmatrixSpec",
+               "tail_term"}
     assert not removed & set(pr.__all__)
     assert not any(hasattr(pr, name) for name in removed)
 
