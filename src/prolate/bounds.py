@@ -97,11 +97,9 @@ def transition_bound(n: int, m: int, epsilon: float) -> float:
     return first + 4.0 * _series_order(m / n, 8.0 * math.pi, epsilon)
 
 
-def transition_width(values: np.ndarray | Spectrum, epsilon: float) -> int:
-    """Exact count of spectrum values strictly between eps and 1 - eps."""
+def transition_width(values: np.ndarray, epsilon: float) -> int:
+    """Exact count of the array's values strictly between eps and 1 - eps."""
     epsilon = _check_epsilon(epsilon)
-    if isinstance(values, Spectrum):
-        values = values.values
     values = np.asarray(values, dtype=np.float64)
     return int(((values > epsilon) & (values < 1.0 - epsilon)).sum())
 

@@ -111,8 +111,8 @@ def fit_commuting_tridiagonal(b, params: ProlateParams) -> TridiagonalFit:
 
     scaled to unit Frobenius norm.  ``b`` is the N x N periodic prolate
     block of ``params``; ||BT - TB||_F is measured on it in O(N^2).  A fit
-    within COMMUTATOR_TOL whose T is unreduced is then compared with the
-    direct eigendecomposition of B (see :class:`TridiagonalFit`).
+    within COMMUTATOR_TOL is then compared with the direct
+    eigendecomposition of B (see :class:`TridiagonalFit`).
     """
     b, exponent = _as_dense_symmetric(b)
     if exponent:  # back to its own scale: COMMUTATOR_TOL is absolute
@@ -141,7 +141,7 @@ def fit_commuting_tridiagonal(b, params: ProlateParams) -> TridiagonalFit:
         offdiag=offdiag,
         commutator_norm=math.sqrt(float((commutator * commutator).sum())),
     )
-    if not fit.degenerate and fit.commutator_norm <= COMMUTATOR_TOL:
+    if fit.commutator_norm <= COMMUTATOR_TOL:
         _compare_with_direct(fit, b)
     return fit
 

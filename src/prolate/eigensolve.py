@@ -137,9 +137,6 @@ class Spectrum:
     residual: float | None = None
     iterations: int | None = None
 
-    def __len__(self) -> int:
-        return self.values.size
-
 
 def _extent(arr) -> float:
     """Largest |entry| of a real array, or of the real and imaginary parts
@@ -173,15 +170,6 @@ def _scale_back(values: np.ndarray, exponent: int, name: str) -> np.ndarray:
     return values
 
 
-def _in_range_symbol(a: SymbolMatrix) -> tuple[SymbolMatrix, int]:
-    """``a``, checked finite and scaled by 2^-e into range, and e (see
-    _range_exponent)."""
-    exponent = _range_exponent(_extent(a.symbol))
-    if exponent:
-        a = SymbolMatrix(np.ldexp(a.symbol, -exponent))
-    return a, exponent
-
-
 def _bands(arr):
     """(rows, cols) pairs covering a square matrix: rows r0:r1 from the
     diagonal on, and columns r0:r1 below it, transposed to the same shape.
@@ -199,18 +187,15 @@ def _as_dense_symmetric(a) -> tuple[np.ndarray, int]:
     Returns the matrix scaled by 2^-e into range, and e (see
     _range_exponent); e is 0, and nothing is scaled, for an input in range.
     The matrix may be written exactly when its ``writeable`` flag is set.
-    A SymbolMatrix is symmetric by construction and returns its private
-    dense realization.  An array of any layout is read where it lies.  One
-    equal to its transpose bit for bit is checked read-only and returned as
-    a read-only view of itself.  Any other array, or one out of range, is
-    averaged to 0.5 (A + A^T) or scaled in a private C-ordered copy.  The
-    check and the average go a band of HOUSEHOLDER_CHUNK_ROWS rows at a
-    time, so besides that copy no temporary as large as the matrix is made.
+    A SymbolMatrix enters as its dense matrix and is checked like any
+    array.  An array of any layout is read where it lies.  One equal to its
+    transpose bit for bit is checked read-only and returned as a read-only
+    view of itself.  Any other array, or one out of range, is averaged to
+    0.5 (A + A^T) or scaled in a private C-ordered copy.  The check and the
+    average go a band of HOUSEHOLDER_CHUNK_ROWS rows at a time, so besides
+    that copy no temporary as large as the matrix is made.
     """
-    if isinstance(a, SymbolMatrix):
-        a, exponent = _in_range_symbol(a)
-        return a.dense(), exponent
-    arr = np.asarray(a)
+    arr = a.dense() if isinstance(a, SymbolMatrix) else np.asarray(a)
     if np.iscomplexobj(arr):
         raise ParameterError(f"expected a real symmetric matrix, got {arr.dtype}")
     arr = arr.astype(np.float64, copy=False)
@@ -366,12 +351,13 @@ def _householder_tridiag(a: np.ndarray, want_q: bool):
 def _ql_implicit(d, e, z):
     """Implicit QL with Wilkinson shifts on a symmetric tridiagonal matrix.
 
-    d: diagonal (n,), e: subdiagonal in e[0..n-2] with e[n-1] as workspace;
-    both are overwritten.  Unless z is None, the rotations are accumulated
-    into the rows of z, which holds the transposed vector matrix, so that
-    each rotation updates two contiguous rows.  Returns the number of QL
-    steps taken; EigensolveError once they would exceed QL_BUDGET_PER_ROW
-    * n, which signals pathological input rather than a partial answer.
+    d: diagonal (n,), overwritten with the unsorted eigenvalues; e:
+    subdiagonal in e[0..n-2], only read (its copy is the workspace).  Unless
+    z is None, the rotations are accumulated into the rows of z, which holds
+    the transposed vector matrix, so that each rotation updates two
+    contiguous rows.  Returns the number of QL steps taken; EigensolveError
+    once they would exceed QL_BUDGET_PER_ROW * n, which signals
+    pathological input rather than a partial answer.
 
     A coupling deflates once |e_m| <= tol = u (max |d_i| + 2 max |e_i|),
     u = 2^-53, taken once from the input (d, e), as the Handbook's tql1 and
@@ -385,7 +371,7 @@ def _ql_implicit(d, e, z):
     The scalar recurrence runs on Python floats copied out of d and e, since
     reading and writing numpy scalars dominated its cost; both types are IEEE
     doubles, so values, vectors and step counts are bitwise identical to the
-    same recurrence run on the arrays.  d and e are written back on return.
+    same recurrence run on the arrays.  Only d is written back on return.
     """
     n = d.shape[0]
     tol = UNIT_ROUNDOFF * (
@@ -396,7 +382,7 @@ def _ql_implicit(d, e, z):
     steps = 0
     if z is not None:
         signed_s, tmp = np.empty((2, 1)), np.empty((2, z.shape[1]))
-    d_out, e_out = d, e
+    d_out = d
     d, e = d.tolist(), e.tolist()
     for l in range(n):
         while True:
@@ -446,7 +432,6 @@ def _ql_implicit(d, e, z):
                 e[l] = g
                 e[m] = 0.0
     d_out[:] = d
-    e_out[:] = e
     return steps
 
 
@@ -606,8 +591,6 @@ def _fix_vector_signs(vectors: np.ndarray) -> None:
     A component is negligible at or below 1e-12 times its column's largest
     magnitude; a zero column has none and is left alone.
     """
-    if vectors.size == 0:
-        return
     mags = np.abs(vectors)
     lead = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
     flip = vectors[lead, np.arange(vectors.shape[1])] < 0.0
@@ -623,8 +606,10 @@ def _finish(a_sym, values, vectors, iterations, exponent) -> Spectrum:
     if vectors is not None:
         vectors = vectors.take(order, axis=1)  # one C-ordered copy, whatever the layout
         _fix_vector_signs(vectors)
-        misfit = a_sym @ vectors
-        misfit -= vectors * values
+        misfit = a_sym @ vectors  # less V diag(values), a band of rows at a time
+        for r0 in range(0, misfit.shape[0], HOUSEHOLDER_CHUNK_ROWS):
+            r1 = r0 + HOUSEHOLDER_CHUNK_ROWS
+            misfit[r0:r1] -= vectors[r0:r1] * values
         residual = float(np.abs(misfit, out=misfit).max(initial=0.0))
     if exponent:
         values = _scale_back(values, exponent, "an eigenvalue")
@@ -706,16 +691,18 @@ def eigh_householder_ql(a, want_vectors: bool = False) -> Spectrum:
     every symmetric Toeplitz matrix is) is solved as its two half-size
     parity blocks, whose vectors are the even and odd eigenvectors; the
     values are merged and ``iterations`` counts the steps of both.  Any
-    other matrix is reduced whole.  The input is never written.  A
-    SymbolMatrix is split without a check, its blocks read from the
-    symbol's strided view; its dense matrix is built only for the residual
-    that vectors come with.  Deterministic for fixed input.  Raises
+    other matrix is reduced whole.  The input is never written.  Values
+    only, a SymbolMatrix is split without a check, its blocks read from the
+    symbol's strided view; with vectors it enters as its dense matrix, which
+    the residual needs.  Deterministic for fixed input.  Raises
     EigensolveError when QL exhausts its QL_BUDGET_PER_ROW * n steps (per
     block).
     """
-    if isinstance(a, SymbolMatrix):
-        a, exponent = _in_range_symbol(a)
-        sym = a.dense() if want_vectors else a.view()
+    if isinstance(a, SymbolMatrix) and not want_vectors:
+        exponent = _range_exponent(_extent(a.symbol))
+        if exponent:
+            a = SymbolMatrix(np.ldexp(a.symbol, -exponent))
+        sym = a.view()
         blocks = _split_parity(sym) if a.n > 1 else None
     else:
         sym, exponent = _as_dense_symmetric(a)

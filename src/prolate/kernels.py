@@ -146,9 +146,8 @@ def sinc_prolate(n: int, w: float) -> SymbolMatrix:
     w = _check_bandwidth(w)
     symbol = np.empty(n, dtype=np.float64)
     symbol[0] = 2.0 * w
-    if n > 1:
-        k = np.arange(1, n, dtype=np.float64)
-        symbol[1:] = np.sin(2.0 * np.pi * w * k) / (np.pi * k)
+    k = np.arange(1, n, dtype=np.float64)
+    symbol[1:] = np.sin(2.0 * np.pi * w * k) / (np.pi * k)
     return SymbolMatrix(symbol)
 
 

@@ -84,8 +84,6 @@ def test_transition_width_counting():
     assert pr.transition_width(np.array([0.9, 0.5, 0.1]), 0.2) == 1
     # strict inequalities: both boundary values are excluded here
     assert pr.transition_width(np.array([0.8, 0.3, 0.2]), 0.2) == 1
-    spec = pr.Spectrum(values=np.array([0.9, 0.5, 0.1]))
-    assert pr.transition_width(spec, 0.2) == 1
 
 
 def test_certify_clustering_small_case():

@@ -195,15 +195,32 @@ def test_symbol_matrix_non_finite_rejected(solver, bad):
 
 
 def test_symbol_matrix_input_accepted():
-    # a SymbolMatrix is solved bit for bit like its dense realization; the
-    # odd size has a middle row and half-blocks wider than one panel
+    # a SymbolMatrix is solved and fitted bit for bit like its dense
+    # realization; the odd size has a middle row and half-blocks wider
+    # than one panel
     for m, n, k in ((32, 12, 5), (256, 75, 31)):
-        block = pr.periodic_prolate(pr.ProlateParams(M=m, N=n, K=k))
-        from_symbol = pr.eigh_householder_ql(block, want_vectors=True)
-        from_dense = pr.eigh_householder_ql(block.dense(), want_vectors=True)
-        assert np.array_equal(from_symbol.values, from_dense.values)
-        assert np.array_equal(from_symbol.vectors, from_dense.vectors)
-        assert from_symbol.residual == from_dense.residual
+        params = pr.ProlateParams(M=m, N=n, K=k)
+        block = pr.periodic_prolate(params)
+        for solver in (pr.eigh_householder_ql, pr.eigh_jacobi):
+            from_symbol = solver(block, want_vectors=True)
+            from_dense = solver(block.dense(), want_vectors=True)
+            assert np.array_equal(from_symbol.values, from_dense.values)
+            assert np.array_equal(from_symbol.vectors, from_dense.vectors)
+            assert from_symbol.residual == from_dense.residual
+            assert from_symbol.iterations == from_dense.iterations
+        from_symbol = pr.fit_commuting_tridiagonal(block, params)
+        from_dense = pr.fit_commuting_tridiagonal(block.dense(), params)
+        for name in ("diag", "offdiag", "alignment"):
+            assert np.array_equal(
+                getattr(from_symbol, name), getattr(from_dense, name), equal_nan=True
+            )
+        for name in ("commutator_norm", "compared", "max_value_dev", "min_alignment"):
+            assert getattr(from_symbol, name) == getattr(from_dense, name)
+        tri_symbol, tri_dense = from_symbol.tridiagonal, from_dense.tridiagonal
+        assert np.array_equal(tri_symbol.values, tri_dense.values)
+        assert np.array_equal(tri_symbol.vectors, tri_dense.vectors)
+        assert tri_symbol.residual == tri_dense.residual
+        assert tri_symbol.iterations == tri_dense.iterations
 
 
 
@@ -266,13 +283,17 @@ def test_values_only_symbol_solve_allocates_less_than_the_matrix():
 
 
 def test_vectors_solve_frees_its_blocks_before_the_residual():
-    # the dense matrix, the unsorted and the sorted vectors, the misfit
-    # A V - V diag(values) and the scaled vectors: five N x N arrays; the
-    # parity blocks and their vector rows are gone by then
+    # the dense matrix, the unsorted and the sorted vectors and the misfit
+    # A V - V diag(values), formed a band of rows at a time: four N x N
+    # arrays, three for a dense input the caller holds; the parity blocks
+    # and their vector rows are gone by then
     n = 512
     block = pr.periodic_prolate(pr.ProlateParams(M=2048, N=n, K=256))
     peak = _peak_bytes(lambda: pr.eigh_householder_ql(block, want_vectors=True))
-    assert peak <= 5.5 * 8 * n * n
+    assert peak <= 4.5 * 8 * n * n
+    dense = block.dense()
+    peak = _peak_bytes(lambda: pr.eigh_householder_ql(dense, want_vectors=True))
+    assert peak <= 3.5 * 8 * n * n
 
 
 def test_complex_gram_is_reduced_at_its_own_size():
@@ -652,7 +673,7 @@ def test_cross_solver_agreement_assorted_sizes():
         scale = 1.0 + np.abs(ql.values).max()
         assert np.abs(ql.values - ja.values).max() <= 1e-10 * scale
         assert np.abs(ql.vectors.T @ ql.vectors - np.eye(n)).max() <= 1e-10
-        assert len(ql) == n
+        assert ql.values.size == n
 
 
 def test_ql_on_tridiagonal_input():

@@ -6,14 +6,17 @@ Usage, from the root of a checkout:
 
 Runs every operation that ``perfbench/workloads.py`` builds for the three
 workloads, seeds 1-4, at toy and full scale (library operations through
-``perfbench/libop.py``), plus ``commute M=3008 N=752 K=375``, ``commute
-M=9 N=9 K=3`` and ``transition ratio-sweep M=64..512 out=FILE``.  Each
-distinct operation runs once in this checkout and once in PARENT_ROOT,
-each with ``PYTHONPATH`` set to that tree's ``src``, under one and under
-two OpenBLAS threads, in a fresh working directory.  Prints every run
-whose stdout, stderr, exit code or written files differ between the two
-trees and exits 1 if any does; otherwise prints how many runs matched and
-exits 0.  Only this checkout's ``perfbench/`` is read, never written.
+``perfbench/libop.py``), plus the operations in ``EXTRA``, which reach
+what those do not: odd N (bordered parity blocks and vectors), an odd DFT
+side, a block whose width changes with the BLAS thread count, a
+decompose at N = 1000, JSON output and the ratio sweep's written file.
+Each distinct operation runs once in this checkout and once in
+PARENT_ROOT, each with ``PYTHONPATH`` set to that tree's ``src``, under
+one and under two OpenBLAS threads, in a fresh working directory.  Prints
+every run whose stdout, stderr, exit code or written files differ between
+the two trees and exits 1 if any does; otherwise prints how many runs
+matched and exits 0.  Only this checkout's ``perfbench/`` is read, never
+written.
 """
 from __future__ import annotations
 
@@ -38,6 +41,14 @@ EXTRA = (
     ("commute", "M=3008", "N=752", "K=375"),
     ("commute", "M=9", "N=9", "K=3"),
     ("transition", "ratio-sweep", "M=64..512", "out=FILE"),
+    ("certify", "M=99", "N=33", "K=10"),
+    ("commute", "M=99", "N=33", "K=16"),
+    ("eigs", "M=1511", "N=661", "K=258"),
+    ("certify", "M=1511", "N=661", "K=258", "eps=1e-12,1e-13"),
+    ("dft-sub", "M=999", "p=3"),
+    ("certify", "M=999", "p=3", "row=5", "col=11"),
+    ("decompose", "M=1200", "N=1000", "K=100"),
+    ("eigs", "M=1024", "N=256", "K=128", "format=json"),
 )
 
 
