@@ -170,14 +170,19 @@ def _scale_back(values: np.ndarray, exponent: int, name: str) -> np.ndarray:
     return values
 
 
+def _row_bands(n):
+    """Slices of HOUSEHOLDER_CHUNK_ROWS consecutive indices covering range(n),
+    in order; the last is shorter when n is not a multiple."""
+    step = HOUSEHOLDER_CHUNK_ROWS
+    return [slice(r0, min(r0 + step, n)) for r0 in range(0, n, step)]
+
+
 def _bands(arr):
     """(rows, cols) pairs covering a square matrix: rows r0:r1 from the
     diagonal on, and columns r0:r1 below it, transposed to the same shape.
     """
-    n = arr.shape[0]
-    for r0 in range(0, n, HOUSEHOLDER_CHUNK_ROWS):
-        r1 = min(r0 + HOUSEHOLDER_CHUNK_ROWS, n)
-        yield arr[r0:r1, r0:], arr[r0:, r0:r1].T
+    for band in _row_bands(arr.shape[0]):
+        yield arr[band, band.start :], arr[band.start :, band].T
 
 
 def _as_dense_symmetric(a) -> tuple[np.ndarray, int]:
@@ -246,12 +251,10 @@ def _subtract_product(target, left, right, buf):
 
     buf has HOUSEHOLDER_CHUNK_ROWS rows and at least target.shape[1] columns.
     """
-    rows, cols = target.shape
-    for r0 in range(0, rows, HOUSEHOLDER_CHUNK_ROWS):
-        r1 = min(r0 + HOUSEHOLDER_CHUNK_ROWS, rows)
-        out = buf[: r1 - r0, :cols]
-        np.matmul(left[r0:r1], right.T, out=out)
-        target[r0:r1] -= out
+    for band in _row_bands(target.shape[0]):
+        out = buf[: band.stop - band.start, : target.shape[1]]
+        np.matmul(left[band], right.T, out=out)
+        target[band] -= out
 
 
 def _householder_tridiag(a: np.ndarray, want_q: bool):
@@ -607,9 +610,8 @@ def _finish(a_sym, values, vectors, iterations, exponent) -> Spectrum:
         vectors = vectors.take(order, axis=1)  # one C-ordered copy, whatever the layout
         _fix_vector_signs(vectors)
         misfit = a_sym @ vectors  # less V diag(values), a band of rows at a time
-        for r0 in range(0, misfit.shape[0], HOUSEHOLDER_CHUNK_ROWS):
-            r1 = r0 + HOUSEHOLDER_CHUNK_ROWS
-            misfit[r0:r1] -= vectors[r0:r1] * values
+        for band in _row_bands(misfit.shape[0]):
+            misfit[band] -= vectors[band] * values
         residual = float(np.abs(misfit, out=misfit).max(initial=0.0))
     if exponent:
         values = _scale_back(values, exponent, "an eigenvalue")
@@ -630,15 +632,16 @@ def _parity_blocks(sym):
 
 
 def _split_parity(sym):
-    """The even and odd blocks of a centrosymmetric matrix of size >= 2.
+    """The even and odd blocks of a centrosymmetric matrix of any size.
 
     With J the exchange matrix, J B J = B makes B orthogonally similar to
     diag(E, O) (Cantoni & Butler, 1976).  For h = n // 2, A = B[:h, :h] and
     H = B[:h, n-h:] J, the odd block is O = A - H and the even block is
     A + H, bordered for odd n by sqrt(2) B[:h, h] and B[h, h].  Both are
-    exactly symmetric when B is.  ``sym`` is only read, so it may be a
-    read-only view of any layout; the two blocks are new C-ordered arrays,
-    so their eigenvalues do not depend on that layout.
+    exactly symmetric when B is; for n = 1 they are B and an empty block.
+    ``sym`` is only read, so it may be a read-only view of any layout; the
+    two blocks are new C-ordered arrays, so their eigenvalues do not depend
+    on that layout.
     """
     n = sym.shape[0]
     h = n // 2
@@ -689,42 +692,36 @@ def eigh_householder_ql(a, want_vectors: bool = False) -> Spectrum:
 
     A centrosymmetric matrix (equal to its reversal J A J bit for bit, as
     every symmetric Toeplitz matrix is) is solved as its two half-size
-    parity blocks, whose vectors are the even and odd eigenvectors; the
-    values are merged and ``iterations`` counts the steps of both.  Any
-    other matrix is reduced whole.  The input is never written.  Values
-    only, a SymbolMatrix is split without a check, its blocks read from the
-    symbol's strided view; with vectors it enters as its dense matrix, which
-    the residual needs.  Deterministic for fixed input.  Raises
-    EigensolveError when QL exhausts its QL_BUDGET_PER_ROW * n steps (per
-    block).
+    parity blocks, whose vectors are the even and odd eigenvectors; any
+    other as one block, the whole matrix, reduced in place only when it is
+    a private copy that no residual needs.  Every block takes the same
+    reduction and QL; the values are concatenated and ``iterations`` sums
+    the steps.  The input is never written.  Values only, a SymbolMatrix is
+    split without a check, its blocks read from the symbol's strided view;
+    with vectors it enters as its dense matrix, which the residual needs.
+    Deterministic for fixed input.  Raises EigensolveError when QL exhausts
+    its QL_BUDGET_PER_ROW * n steps (per block).
     """
     if isinstance(a, SymbolMatrix) and not want_vectors:
         exponent = _range_exponent(_extent(a.symbol))
         if exponent:
             a = SymbolMatrix(np.ldexp(a.symbol, -exponent))
         sym = a.view()
-        blocks = _split_parity(sym) if a.n > 1 else None
+        blocks = _split_parity(sym)
     else:
         sym, exponent = _as_dense_symmetric(a)
-        blocks = _parity_blocks(sym)
-    if blocks is None:
         # a writeable sym is private: reduced in place unless the residual needs it
-        in_place = sym.flags.writeable and not want_vectors
-        values, rows, steps = _tridiagonal_ql(
-            sym if in_place else sym.copy(), want_vectors
+        blocks = _parity_blocks(sym) or (
+            sym if sym.flags.writeable and not want_vectors else sym.copy(),
         )
-    else:
-        if not want_vectors:
-            sym = None  # only the residual needs it: free it for the solves
-        (values, even, steps), (odd_values, odd, odd_steps) = (
-            _tridiagonal_ql(block, want_vectors) for block in blocks
-        )
-        values = np.concatenate((values, odd_values))
-        steps += odd_steps
-        rows = _parity_vectors(even, odd) if want_vectors else None
-        blocks = even = odd = None  # free them for the residual
-    vectors = rows.T if want_vectors else None
-    return _finish(sym, values, vectors, steps, exponent)
+    if not want_vectors:
+        sym = None  # only the residual needs it: free it for the solves
+    values, rows, steps = zip(*(_tridiagonal_ql(block, want_vectors) for block in blocks))
+    vectors = None
+    if want_vectors:
+        vectors = (_parity_vectors(*rows) if len(rows) == 2 else rows[0]).T
+    blocks = rows = None  # free them for the residual
+    return _finish(sym, np.concatenate(values), vectors, sum(steps), exponent)
 
 
 def eigh_jacobi(a, want_vectors: bool = False) -> Spectrum:

@@ -28,8 +28,8 @@ import numpy as np
 
 from .bounds import _check_epsilon, _series_order
 from .eigensolve import (
-    HOUSEHOLDER_CHUNK_ROWS,
     EigensolveError,
+    _row_bands,
     eigh_householder_ql,
     singular_values_via_gram,
 )
@@ -262,8 +262,7 @@ def _range_rank(params: ProlateParams, parts: LowRankParts) -> tuple[int, float]
     lowrank = SymbolMatrix(parts.symbol).view()
     basis = _range_basis(params, 2 * parts.order)
     n = lowrank.shape[0]
-    step = HOUSEHOLDER_CHUNK_ROWS
-    bands = [slice(r0, min(r0 + step, n)) for r0 in range(0, n, step)]
+    bands = _row_bands(n)
     image = np.empty((n, basis.shape[0]))  # L Q
     for rows in bands:
         image[rows] = lowrank[rows] @ basis.T

@@ -208,6 +208,71 @@ def test_sweep_widths_match_lapack():
         ], m
 
 
+def test_every_small_block_matches_lapack():
+    # ROADMAP item 15(b): every prolate block with M <= 24 (2,234 blocks),
+    # against the report that LAPACK's descending spectrum gives at the same
+    # bound and centre
+    levels = [1e-3, 1e-6, 1e-9, 1e-12, bounds.SPECTRUM_EPS_FLOOR]
+    blocks = 0
+    for m in range(2, 25):
+        for n in range(1, m):
+            for k in range((m - 2) // 2 + 1):
+                params = pr.ProlateParams(M=m, N=n, K=k)
+                lam = np.linalg.eigvalsh(pr.periodic_prolate(params).dense())[::-1]
+                nw2 = 2 * ((n * (2 * k + 1)) // (2 * m))
+                for report in pr.certify_spectrum_clustering(params, levels):
+                    eps = report.epsilon
+                    ref = bounds._clustering_report(
+                        lam, eps, pr.transition_bound(n, m, eps), nw2, eps, 1.0 - eps
+                    )
+                    assert (
+                        report.width, report.lower_index_ok, report.upper_index_ok,
+                        report.width_ok,
+                    ) == (
+                        ref.width, ref.lower_index_ok, ref.upper_index_ok, ref.width_ok,
+                    ), (m, n, k, eps)
+                blocks += 1
+    assert blocks == 2234
+
+
+_QL_LOW = pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="an eigenvalue within 5.3e-16 of a level: QL counts one too few; "
+    "ROADMAP items 5 and 12",
+)
+
+
+@pytest.mark.parametrize(
+    "mnk",
+    [
+        (48, 20, 10),
+        pytest.param((48, 28, 13), marks=_QL_LOW),
+        (63, 39, 13),
+        pytest.param((64, 25, 13), marks=_QL_LOW),
+        (64, 30, 12),
+        pytest.param((64, 30, 19), marks=_QL_LOW),
+        pytest.param((64, 37, 19), marks=_QL_LOW),
+        pytest.param((64, 39, 13), marks=_QL_LOW),
+        pytest.param((64, 39, 18), marks=_QL_LOW),
+    ],
+    ids=lambda mnk: "-".join(map(str, mnk)),
+)
+def test_near_level_widths_match_mpmath(mnk):
+    # ROADMAP item 15: the nine blocks with M <= 64 whose widths at the floor
+    # differ between QL and LAPACK; 40-digit eigenvalues of the float64 block
+    # (each entry converted exactly) settle them
+    mpmath = pytest.importorskip("mpmath")
+    params = pr.ProlateParams(*mnk)
+    eps = bounds.SPECTRUM_EPS_FLOOR
+    dense = pr.periodic_prolate(params).dense()
+    with mpmath.workdps(40):
+        exact = mpmath.eigsy(mpmath.matrix(dense.tolist()), eigvals_only=True)
+        width = sum(1 for lam in exact if eps < lam < 1 - eps)
+    (report,) = pr.certify_spectrum_clustering(params, [eps])
+    assert report.width == width
+
+
 def test_certify_dft_unitary_case():
     (report,) = pr.certify_dft_submatrix(8, 1, [1e-3])
     assert report.width == 0

@@ -7,9 +7,11 @@ Usage, from the root of a checkout:
 Runs every operation that ``perfbench/workloads.py`` builds for the three
 workloads, seeds 1-4, at toy and full scale (library operations through
 ``perfbench/libop.py``), plus the operations in ``EXTRA``, which reach
-what those do not: odd N (bordered parity blocks and vectors), an odd DFT
-side, a block whose width changes with the BLAS thread count, a
-decompose at N = 1000, JSON output and the ratio sweep's written file.
+what those do not: odd N (bordered parity blocks and vectors, and the
+values-only split of a symbol), a 1 x 1 symbol, an odd DFT side, a block
+whose width changes with the BLAS thread count, decomposes at N = 1000 and
+at N = 300 (a last band of rows shorter than the rest), JSON output and
+the ratio sweep's written file.
 Each distinct operation runs once in this checkout and once in
 PARENT_ROOT, each with ``PYTHONPATH`` set to that tree's ``src``, under
 one and under two OpenBLAS threads, in a fresh working directory.  Prints
@@ -49,6 +51,9 @@ EXTRA = (
     ("certify", "M=999", "p=3", "row=5", "col=11"),
     ("decompose", "M=1200", "N=1000", "K=100"),
     ("eigs", "M=1024", "N=256", "K=128", "format=json"),
+    ("eigs", "M=8", "N=1", "K=1"),
+    ("eigs", "M=99", "N=33", "K=10"),
+    ("decompose", "M=1000", "N=300", "K=77"),
 )
 
 
