@@ -22,16 +22,16 @@ vectors the tridiagonal, and so the eigenvalues, are the same bits.
 A centrosymmetric matrix (J A J = A bit for bit, J the exchange matrix; every
 symmetric Toeplitz matrix is one) is orthogonally similar to two half-size
 blocks, one per parity of its eigenvectors (Cantoni & Butler, 1976).
-eigh_householder_ql then reduces and iterates each block on its own, which
-cuts the O(n^3) reduction about fourfold and the QL work about twofold, and
-assembles exactly even and odd eigenvectors; other matrices are reduced
-whole.  A SymbolMatrix is split without a check: its blocks are formed
-from a read-only strided view of its symbol, so no n x n matrix is built
-unless vectors, and with them the residual, are wanted.  An array input of
-any layout is validated read-only where it lies and never written; only
-what the reduction overwrites is copied, C-ordered (the two blocks, or one
-working matrix).  A Gram matrix that singular_values_via_gram builds for
-itself is reduced in place, whole.
+eigh_householder_ql reduces and iterates each block on its own, which cuts
+the O(n^3) reduction about fourfold and the QL work about twofold, and
+assembles exactly even and odd eigenvectors.  One rule decides: a
+SymbolMatrix is split, without a check, from a read-only strided view of
+its symbol, so no n x n matrix is built unless the residual needs it; an
+array, of any size and layout, is validated read-only where it lies, split
+when it equals its reversal bit for bit and otherwise copied whole.  So
+the input is never written, and every matrix the solver reduces is one it
+allocated, C-ordered: the two parity blocks, a copy of the whole matrix,
+or the Gram that singular_values_via_gram builds for itself.
 
 A matrix whose largest |entry| lies outside [1/MAGNITUDE_RANGE,
 MAGNITUDE_RANGE] is solved scaled by a power of two into that range, and its
@@ -191,7 +191,6 @@ def _as_dense_symmetric(a) -> tuple[np.ndarray, int]:
 
     Returns the matrix scaled by 2^-e into range, and e (see
     _range_exponent); e is 0, and nothing is scaled, for an input in range.
-    The matrix may be written exactly when its ``writeable`` flag is set.
     A SymbolMatrix enters as its dense matrix and is checked like any
     array.  An array of any layout is read where it lies.  One equal to its
     transpose bit for bit is checked read-only and returned as a read-only
@@ -621,12 +620,9 @@ def _finish(a_sym, values, vectors, iterations, exponent) -> Spectrum:
 
 
 def _parity_blocks(sym):
-    """The even and odd blocks of a centrosymmetric matrix, else None.
-
-    Only a matrix equal to its reversal J B J bit for bit is split; sizes
-    below 2 have nothing to split.
-    """
-    if sym.shape[0] < 2 or not np.array_equal(sym, sym[::-1, ::-1]):
+    """The even and odd blocks of a matrix equal to its reversal J B J bit
+    for bit, at any size; else None."""
+    if not np.array_equal(sym, sym[::-1, ::-1]):
         return None
     return _split_parity(sym)
 
@@ -690,30 +686,24 @@ def _tridiagonal_ql(work, want_vectors):
 def eigh_householder_ql(a, want_vectors: bool = False) -> Spectrum:
     """Full spectrum via Householder tridiagonalization plus implicit QL.
 
-    A centrosymmetric matrix (equal to its reversal J A J bit for bit, as
-    every symmetric Toeplitz matrix is) is solved as its two half-size
-    parity blocks, whose vectors are the even and odd eigenvectors; any
-    other as one block, the whole matrix, reduced in place only when it is
-    a private copy that no residual needs.  Every block takes the same
-    reduction and QL; the values are concatenated and ``iterations`` sums
-    the steps.  The input is never written.  Values only, a SymbolMatrix is
-    split without a check, its blocks read from the symbol's strided view;
-    with vectors it enters as its dense matrix, which the residual needs.
-    Deterministic for fixed input.  Raises EigensolveError when QL exhausts
-    its QL_BUDGET_PER_ROW * n steps (per block).
+    One rule picks the blocks: a SymbolMatrix, and an array equal to its
+    reversal J A J bit for bit (as every symmetric Toeplitz matrix is), at
+    any size, is solved as its two parity blocks, whose vectors are the
+    even and odd eigenvectors; any other array as a copy of the whole
+    matrix.  A symbol is split from its strided view without a check, and
+    its dense matrix is built after the solves, only for the residual.
+    Every block takes the same reduction and QL; the values are
+    concatenated and ``iterations`` sums the steps.  The input is never
+    written.  Deterministic for fixed input.  Raises EigensolveError when
+    QL exhausts its QL_BUDGET_PER_ROW * n steps (per block).
     """
-    if isinstance(a, SymbolMatrix) and not want_vectors:
+    if isinstance(a, SymbolMatrix):
         exponent = _range_exponent(_extent(a.symbol))
-        if exponent:
-            a = SymbolMatrix(np.ldexp(a.symbol, -exponent))
-        sym = a.view()
-        blocks = _split_parity(sym)
+        sym = SymbolMatrix(np.ldexp(a.symbol, -exponent))
+        blocks = _split_parity(sym.view())
     else:
         sym, exponent = _as_dense_symmetric(a)
-        # a writeable sym is private: reduced in place unless the residual needs it
-        blocks = _parity_blocks(sym) or (
-            sym if sym.flags.writeable and not want_vectors else sym.copy(),
-        )
+        blocks = _parity_blocks(sym) or (sym.copy(),)
     if not want_vectors:
         sym = None  # only the residual needs it: free it for the solves
     values, rows, steps = zip(*(_tridiagonal_ql(block, want_vectors) for block in blocks))
@@ -721,6 +711,8 @@ def eigh_householder_ql(a, want_vectors: bool = False) -> Spectrum:
     if want_vectors:
         vectors = (_parity_vectors(*rows) if len(rows) == 2 else rows[0]).T
     blocks = rows = None  # free them for the residual
+    if isinstance(sym, SymbolMatrix):
+        sym = sym.dense()
     return _finish(sym, np.concatenate(values), vectors, sum(steps), exponent)
 
 

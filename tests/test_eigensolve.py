@@ -1335,7 +1335,36 @@ def test_non_centrosymmetric_input_is_not_split():
     assert es._parity_blocks(a) is not None
     a[0, 1] = a[1, 0] = np.nextafter(a[0, 1], np.inf)  # one ulp breaks it
     assert es._parity_blocks(a) is None
-    assert es._parity_blocks(np.ones((1, 1))) is None
+    assert es._parity_blocks(np.ones((1, 1))) is not None
+
+
+@pytest.mark.parametrize("want_vectors", [False, True])
+def test_one_by_one_is_split_like_any_size(want_vectors):
+    # an even 1 x 1 block and an empty odd one
+    for a in (np.array([[-2.5]]), pr.SymbolMatrix([-2.5])):
+        spec = pr.eigh_householder_ql(a, want_vectors=want_vectors)
+        assert spec.values.tolist() == [-2.5]
+        assert spec.iterations == 0
+        if want_vectors:
+            assert spec.vectors.tolist() == [[1.0]]
+            assert spec.residual == 0.0
+
+
+@pytest.mark.parametrize("want_vectors", [False, True])
+def test_symbol_is_split_without_a_bitwise_check(want_vectors, monkeypatch):
+    block = pr.periodic_prolate(pr.ProlateParams(M=256, N=65, K=20))
+    want = pr.eigh_householder_ql(block.dense(), want_vectors=want_vectors)
+
+    def checked(sym):
+        raise AssertionError("a symbol was tested for centrosymmetry")
+
+    monkeypatch.setattr(es, "_parity_blocks", checked)
+    got = pr.eigh_householder_ql(block, want_vectors=want_vectors)
+    assert np.array_equal(got.values, want.values)
+    assert got.iterations == want.iterations
+    if want_vectors:
+        assert np.array_equal(got.vectors, want.vectors)
+        assert got.residual == want.residual
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
