@@ -117,8 +117,8 @@ class TransitionReport:
     sqrt(eps)) minus ``values[upper_index]``.  An index outside the valid
     range is recorded as a None margin: its check is vacuous and holds
     trivially.  Every other check holds exactly when its margin is >= 0.
-    The report holds what was measured, the computed ``spectrum`` or
-    ``singular_values``, and not the inputs its caller already has.
+    The report holds what was measured, the ``spectrum`` (of singular
+    values for a DFT block), and not the inputs its caller already has.
     """
 
     epsilon: float
@@ -128,8 +128,7 @@ class TransitionReport:
     upper_index: int
     lower_margin: float | None
     upper_margin: float | None
-    spectrum: Spectrum | None = field(default=None, repr=False)
-    singular_values: np.ndarray | None = field(default=None, repr=False)
+    spectrum: Spectrum = field(repr=False)
 
     @property
     def lower_index_ok(self) -> bool:
@@ -153,9 +152,10 @@ class TransitionReport:
 
 
 def _clustering_report(
-    values, epsilon, half, nw2, low_level, high_level, **fields
+    spectrum, epsilon, half, nw2, low_level, high_level
 ) -> TransitionReport:
     """Width count and the two index margins around nw2, as one report."""
+    values = spectrum.values
     n = values.size
     half_int = math.ceil(half)
     lower_index = nw2 - half_int
@@ -174,7 +174,7 @@ def _clustering_report(
         upper_margin=(
             float(low_level - values[upper_index]) if 0 <= upper_index < n else None
         ),
-        **fields,
+        spectrum=spectrum,
     )
 
 
@@ -194,8 +194,7 @@ def certify_spectrum_clustering(
     epsilons = [_check_spectrum_epsilon(epsilon) for epsilon in epsilons]
     params._check_n_below_m()
     spectrum = eigh_householder_ql(periodic_prolate(params))
-    lam = spectrum.values
-    total = math.fsum(lam)
+    total = math.fsum(spectrum.values)
     if abs(total - params.cluster_point) > TRACE_ROUNDING * params.N**2:
         raise EigensolveError(
             f"spectrum sums to {total!r}, not to the trace {params.cluster_point!r}"
@@ -204,13 +203,12 @@ def certify_spectrum_clustering(
     nw2 = 2 * ((params.N * (2 * params.K + 1)) // (2 * params.M))
     return [
         _clustering_report(
-            lam,
+            spectrum,
             epsilon,
             transition_bound(params.N, params.M, epsilon),
             nw2,
             epsilon,
             1.0 - epsilon,
-            spectrum=spectrum,
         )
         for epsilon in epsilons
     ]
@@ -241,15 +239,15 @@ def certify_dft_submatrix(
         raise EigensolveError(
             f"singular values square-sum to {total!r}, not to L/p = {length / p!r}"
         )
+    spectrum = Spectrum(sigma)
     return [
         _clustering_report(
-            sigma,
+            spectrum,
             epsilon,
             0.0 if p == 1 else transition_bound(length, m, epsilon),
             2 * (length // (2 * p)),
             math.sqrt(epsilon),
             math.sqrt(1.0 - epsilon),
-            singular_values=sigma,
         )
         for epsilon in epsilons
     ]

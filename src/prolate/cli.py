@@ -48,25 +48,25 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 DEFAULT_EPSILONS = (1e-3, 1e-6, 1e-9, 1e-12)
-# Largest ratio-sweep end.  The last step diagonalises a dense N = M/4
-# block: `transition M=8192 N=2048 K=1024` takes 0.84 s and 77 MB peak on
-# two cores without numba.
+# The size limits.  Times and peak RSS are the best of 3 fresh processes on
+# two cores, two OpenBLAS threads and no numba.
+# Largest ratio-sweep end.  The last step solves an N = M/4 block:
+# `transition M=8192 N=2048 K=1024` takes 0.58 s and 48 MB.
 SWEEP_MAX_M = 8192
 # Largest dense matrix the eigensolver is given: N for the M= N= K=
-# commands.  At the limit, best of 2 on two cores without numba, `eigs
-# M=16384 N=4096 K=2048` takes 3.0 s and 98 MB peak (it solves two parity
-# blocks built from the symbol, never the N x N matrix), and `decompose
-# M=16384 N=4096 K=2048` 0.5 s and 40 MB (0.33 s and 36 MB at N=2048; it
-# counts ranks in a basis of the span that holds its range, no N x N solve).
+# commands.  At the limit `eigs M=16384 N=4096 K=2048` takes 2.7 s and
+# 98 MB (it solves two parity blocks built from the symbol, never the N x N
+# matrix), and `decompose M=16384 N=4096 K=2048` 0.45 s and 38 MB (0.23 s
+# and 35 MB at N=2048; it counts ranks in a basis of the span that holds
+# its range, no N x N solve).
 MAX_DENSE_DIM = 4096
 # Largest side L = M/p of the DFT block behind certify M= p= and dft-sub,
 # whose L x L complex Gram is reduced whole.  At the limit `dft-sub M=4096
-# p=2` takes 4.9 s and 227 MB peak (best of 2, two cores, no numba).
+# p=2` takes 3.5 s and 227 MB, and `certify M=4096 p=2` 3.6-4.0 s.
 MAX_DFT_DIM = 2048
 # Largest N for commute, which solves B and its tridiagonal with vectors.
-# At the limit `commute M=3008 N=752 K=375` takes 1.8-1.9 s (medians of two
-# batches of 8) and 79 MB peak (two cores, two BLAS threads, no numba); the
-# fit at N=768 takes 2.1 s in process (median of 5).
+# At the limit `commute M=3008 N=752 K=375` takes 1.2-1.4 s and 70 MB; the
+# fit at M=3072 N=768 K=384 takes 1.6-2.2 s in process (5 runs).
 COMMUTE_MAX_N = 752
 
 USAGE = """\

@@ -87,10 +87,9 @@ def _compare_with_direct(fit: TridiagonalFit, b: np.ndarray) -> None:
     lam = direct.values
     n = lam.size
     gaps = np.full(n, np.inf)
-    if n > 1:
-        step = np.abs(np.diff(lam))
-        gaps[:-1] = np.minimum(gaps[:-1], step)
-        gaps[1:] = np.minimum(gaps[1:], step)
+    step = np.abs(np.diff(lam))
+    gaps[:-1] = np.minimum(gaps[:-1], step)
+    gaps[1:] = np.minimum(gaps[1:], step)
     separated = gaps > EIGENVALUE_GAP
     inner = np.abs(np.einsum("ij,ij->j", direct.vectors, via_tri.vectors))
     fit.alignment = np.full(n, np.nan)

@@ -124,8 +124,9 @@ HOUSEHOLDER_CHUNK_ROWS = 128
 
 @dataclass
 class Spectrum:
-    """Eigenvalues sorted descending, with optional orthonormal vectors.
+    """Values sorted descending, with optional orthonormal vectors.
 
+    The values are eigenvalues or, for a DFT certificate, singular values.
     ``vectors[:, j]`` pairs with ``values[j]``.  ``residual`` is
     max_j ||A v_j - values_j v_j||_inf, recorded only when vectors were
     requested.  ``iterations`` is the solver's work count: implicit QL

@@ -106,7 +106,7 @@ def test_criterion_4_dft_submatrix_certificates():
         offsets = [(int(rng.integers(0, m)), int(rng.integers(0, m))) for _ in range(5)]
         for ro, co in offsets:
             reports = pr.certify_dft_submatrix(m, p, (1e-3, 1e-6), ro, co)
-            sigma = reports[0].singular_values
+            sigma = reports[0].spectrum.values
             worst_dev = max(worst_dev, float(np.abs(sigma - base).max()))
             for report in reports:
                 if not report.passed:

@@ -218,12 +218,14 @@ def test_every_small_block_matches_lapack():
         for n in range(1, m):
             for k in range((m - 2) // 2 + 1):
                 params = pr.ProlateParams(M=m, N=n, K=k)
-                lam = np.linalg.eigvalsh(pr.periodic_prolate(params).dense())[::-1]
+                lapack = pr.Spectrum(
+                    np.linalg.eigvalsh(pr.periodic_prolate(params).dense())[::-1]
+                )
                 nw2 = 2 * ((n * (2 * k + 1)) // (2 * m))
                 for report in pr.certify_spectrum_clustering(params, levels):
                     eps = report.epsilon
                     ref = bounds._clustering_report(
-                        lam, eps, pr.transition_bound(n, m, eps), nw2, eps, 1.0 - eps
+                        lapack, eps, pr.transition_bound(n, m, eps), nw2, eps, 1.0 - eps
                     )
                     assert (
                         report.width, report.lower_index_ok, report.upper_index_ok,
@@ -278,7 +280,7 @@ def test_certify_dft_unitary_case():
     assert report.width == 0
     assert report.bound == 0.0
     assert report.passed
-    assert np.abs(report.singular_values - 1.0).max() <= 1e-12
+    assert np.abs(report.spectrum.values - 1.0).max() <= 1e-12
 
 
 def test_certify_dft_offsets_share_verdicts():
@@ -317,7 +319,7 @@ def test_certify_dft_refuses_non_integer_offsets(monkeypatch):
     i = np.int64
     (report,) = pr.certify_dft_submatrix(i(8), i(2), [1e-3], i(-3), i(1))
     (plain,) = pr.certify_dft_submatrix(8, 2, [1e-3], -3, 1)
-    assert np.array_equal(report.singular_values, plain.singular_values)
+    assert np.array_equal(report.spectrum.values, plain.spectrum.values)
 
 
 def test_certify_dft_reuses_singular_values(monkeypatch):
@@ -326,7 +328,7 @@ def test_certify_dft_reuses_singular_values(monkeypatch):
     reports = pr.certify_dft_submatrix(32, 4, (1e-3, 1e-6), 3, 7)
     assert [a.shape for a in calls] == [(8, 8)]
     assert [r.epsilon for r in reports] == [1e-3, 1e-6]
-    assert all(r.singular_values is reports[0].singular_values for r in reports)
+    assert all(r.spectrum is reports[0].spectrum for r in reports)
     assert all(r.passed for r in reports)
 
 
@@ -424,7 +426,7 @@ def test_margins_match_verdicts():
             assert report.upper_margin == report.epsilon - lam[report.upper_index]
     (report,) = pr.certify_dft_submatrix(1024, 4, [1e-6], 3, 7)
     _assert_margins_match_verdicts(report)
-    assert report.upper_margin == math.sqrt(1e-6) - report.singular_values[
+    assert report.upper_margin == math.sqrt(1e-6) - report.spectrum.values[
         report.upper_index
     ]
 
@@ -434,14 +436,18 @@ def test_margins_sign_on_failing_and_boundary_checks():
 
     # indices 1 and 4 around nw2 = 2 with half-width 0.4 (bound 0.8)
     levels = dict(epsilon=0.1, half=0.4, nw2=2, low_level=0.1, high_level=0.9)
-    failing = _clustering_report(np.array([0.99, 0.5, 0.5, 0.5, 0.2]), **levels)
+    failing = _clustering_report(
+        pr.Spectrum(np.array([0.99, 0.5, 0.5, 0.5, 0.2])), **levels
+    )
     assert not (failing.lower_index_ok or failing.upper_index_ok or failing.width_ok)
     assert failing.lower_margin == 0.5 - 0.9
     assert failing.upper_margin == 0.1 - 0.2
     assert failing.width_margin == 0.8 - 4
     _assert_margins_match_verdicts(failing)
     # a value exactly on its level passes with margin zero
-    boundary = _clustering_report(np.array([1.0, 0.9, 1.0, 1.0, 0.1]), **levels)
+    boundary = _clustering_report(
+        pr.Spectrum(np.array([1.0, 0.9, 1.0, 1.0, 0.1])), **levels
+    )
     assert (boundary.lower_margin, boundary.upper_margin) == (0.0, 0.0)
     assert boundary.lower_index_ok and boundary.upper_index_ok
     _assert_margins_match_verdicts(boundary)

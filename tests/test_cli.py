@@ -19,6 +19,7 @@ from prolate.cli import (
     MAX_DFT_DIM,
     SPECTRUM_EPS_FLOOR,
     SWEEP_MAX_M,
+    USAGE,
     UsageError,
     main,
     parse_args,
@@ -62,6 +63,26 @@ def test_integer_past_the_digit_limit_is_too_large(key, argv, capsys):
     assert main([arg.format("1" + "0" * 5000) for arg in argv]) == 2
     last = capsys.readouterr().err.splitlines()[-1]
     assert last == f"error: {key} is too large: 5001 decimal digits"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["transition", "M=64", "N=16", "K=7", "eps=1e-3,abc"], "bad epsilon value 'abc'"),
+    (["transition", "ratio-sweep", "M=64"], "ratio-sweep needs M=LO..HI"),
+    (["transition", "ratio-sweep", "M=64..128", "N=16"],
+     "unexpected keys for ratio-sweep: ['N']"),
+])
+def test_parse_errors_name_their_cause(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == USAGE + f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flag", ["help", "-h", "--help"])
+def test_help_prints_the_usage_with_no_error_line(flag, capsys):
+    assert main([flag]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", USAGE)
 
 
 def test_ratio_sweep_end_is_capped():

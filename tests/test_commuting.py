@@ -180,6 +180,15 @@ def test_eigenvectors_require_nondegenerate_fit():
         pr.eigenvectors_via_tridiagonal(fit, np.eye(6))
 
 
+def test_eigenvectors_require_a_commuting_fit():
+    # T's eigenvectors are B's only when the two commute
+    fit = pr.TridiagonalFit(diag=np.arange(6.0), offdiag=np.ones(5), commutator_norm=1.0)
+    assert not fit.degenerate
+    assert not fit.passed
+    with pytest.raises(pr.EigensolveError, match="commutator norm 1.000e\\+00 exceeds"):
+        pr.eigenvectors_via_tridiagonal(fit, np.eye(6))
+
+
 def test_eigenvectors_require_matching_size():
     fit, _ = _fit(64, 16, 7)
     with pytest.raises(pr.ParameterError):

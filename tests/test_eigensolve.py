@@ -152,6 +152,8 @@ def test_rejects_bad_input():
         pr.eigh_householder_ql(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(pr.EigensolveError):
         pr.eigh_householder_ql(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(pr.ParameterError, match="expected a non-empty matrix"):
+        pr.eigh_householder_ql(np.empty((0, 0)))
 
 
 def test_nearly_symmetric_is_averaged():

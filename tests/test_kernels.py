@@ -166,6 +166,12 @@ def _dense_by_index(symbol):
     return symbol[idx]
 
 
+def test_symbol_matrix_rejects_an_empty_or_2d_symbol():
+    for symbol in (np.empty(0), np.ones((2, 2))):
+        with pytest.raises(pr.ParameterError, match="non-empty 1-d"):
+            pr.SymbolMatrix(symbol)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 257])
 def test_dense_matches_index_construction_bitwise(n):
     symbol = np.random.default_rng(n).standard_normal(n)

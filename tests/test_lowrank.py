@@ -160,6 +160,20 @@ def test_certified_order_is_minimal():
             assert pr.certified_order(params, eps) == brute
 
 
+def test_certified_order_steps_past_a_float_boundary(monkeypatch):
+    # no input is known whose closed form lands one order low, so force
+    # one: the guard must step up to the smallest order that certifies
+    from prolate import lowrank
+
+    want = {eps: pr.certified_order(PARAMS, eps) for eps in (1e-3, 1e-6, 1e-12)}
+    closed_form = lowrank._series_order
+    monkeypatch.setattr(lowrank, "_series_order", lambda *args: closed_form(*args) - 1.0)
+    for eps, order in want.items():
+        assert pr.tail_bound_at(PARAMS, order - 1) > eps / lowrank.TAIL_SHARE
+        assert pr.certified_order(PARAMS, eps) == order
+        assert pr.tail_bound_at(PARAMS, order) <= eps / lowrank.TAIL_SHARE
+
+
 def test_zero_order_split_is_pure_tail():
     # wide ratio and large epsilon: certified order 0, everything is tail
     wide = pr.ProlateParams(M=1024, N=64, K=128)

@@ -14,14 +14,24 @@ at N = 300 (a last band of rows shorter than the rest), JSON output and
 the ratio sweep's written file.
 Each distinct operation runs once in this checkout and once in
 PARENT_ROOT, each with ``PYTHONPATH`` set to that tree's ``src``, under
-one and under two OpenBLAS threads, in a fresh working directory.  Prints
-every run whose stdout, stderr, exit code or written files differ between
-the two trees and exits 1 if any does; otherwise prints how many runs
-matched and exits 0.  Only this checkout's ``perfbench/`` is read, never
-written.
+one and under two OpenBLAS threads, in a fresh working directory.
+
+Then a library pass: under one and under two OpenBLAS threads, one fresh
+interpreter per tree runs the fixed list of ``library_calls`` and prints
+one SHA-256 per call, over the bits of what the call returns: the values,
+vectors, residual and iterations of both solvers, the Gram's singular
+values, each certificate's width, bound, indices and margins, and every
+numeric field of the low-rank splits and commuting fits.  Only values are
+hashed, never a field name.
+
+Prints every run whose stdout, stderr, exit code or written files differ
+between the two trees, and every library call whose digest differs, and
+exits 1 if any does; otherwise prints how many runs and calls matched and
+exits 0.  Only this checkout's ``perfbench/`` is read, never written.
 """
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -73,11 +83,16 @@ def operations() -> list[tuple[str, tuple[str, ...], np.ndarray | None]]:
     return ops + [(" ".join(args), args, None) for args in EXTRA]
 
 
-def run(tree: Path, args, matrix, threads: str) -> dict:
-    """Exit code, stdout, stderr and every file the run leaves in its directory."""
+def _env(tree: Path, threads: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = threads
+    return env
+
+
+def run(tree: Path, args, matrix, threads: str) -> dict:
+    """Exit code, stdout, stderr and every file the run leaves in its directory."""
+    env = _env(tree, threads)
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         if matrix is None:
@@ -89,6 +104,128 @@ def run(tree: Path, args, matrix, threads: str) -> dict:
         files = {path.name: path.read_bytes() for path in sorted(work.iterdir())}
     return {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr,
             "files": files}
+
+
+def _item_bytes(item) -> bytes:
+    """The bits of one returned value; an array with its dtype and shape."""
+    if item is None:
+        return b"-"
+    if isinstance(item, np.ndarray):
+        head = f"{item.dtype.str}{item.shape}:".encode()
+        return head + np.ascontiguousarray(item).tobytes()
+    if isinstance(item, (bool, int, np.bool_, np.integer)):
+        return str(int(item)).encode()
+    return float(item).hex().encode()
+
+
+def _spectrum(spec) -> list:
+    return [spec.values, spec.vectors, spec.residual, spec.iterations]
+
+
+def _reports(reports) -> list:
+    """Each clustering report's width, bound, indices and margins."""
+    return [
+        item
+        for r in reports
+        for item in (r.epsilon, r.width, r.bound, r.lower_index, r.upper_index,
+                     r.lower_margin, r.upper_margin)
+    ]
+
+
+def _splits(certs) -> list:
+    return [
+        item
+        for c in certs
+        for item in (c.epsilon, c.n, c.order, c.rank, c.tail_bound, c.row_sum,
+                     c.entry, c.range_residual, c.passed)
+    ]
+
+
+def _fit(fit) -> list:
+    return [fit.diag, fit.offdiag, fit.commutator_norm, fit.alignment,
+            *_spectrum(fit.tridiagonal), fit.compared, fit.max_value_dev,
+            fit.min_alignment, fit.degenerate, fit.passed]
+
+
+def library_calls() -> list:
+    """(label, call returning the values to hash), in a fixed order."""
+    import prolate as pr
+
+    rng = np.random.default_rng(20261022)
+
+    def sym(n):
+        a = rng.standard_normal((n, n))
+        return 0.5 * (a + a.T)
+
+    inputs = [(f"random n={n}", sym(n)) for n in (1, 2, 3, 64, 129)]
+    inputs += [
+        ("out-of-range n=16", np.ldexp(sym(16), 600)),
+        ("near-symmetric n=40", sym(40) + 1e-14 * rng.standard_normal((40, 40))),
+        ("Fortran-ordered n=48", np.asfortranarray(sym(48))),
+    ]
+    for mnk in ((128, 32, 15), (99, 33, 10), (256, 64, 31)):
+        symbol = pr.periodic_prolate(pr.ProlateParams(*mnk))
+        inputs += [(f"prolate {mnk} symbol", symbol),
+                   (f"prolate {mnk} dense", symbol.dense())]
+    calls = [
+        (f"{name} vectors {label}",
+         lambda a=a, solver=solver: _spectrum(solver(a, want_vectors=True)))
+        for label, a in inputs
+        for name, solver in (("QL", pr.eigh_householder_ql), ("Jacobi", pr.eigh_jacobi))
+    ]
+    calls += [
+        (f"QL values {label}", lambda a=a: _spectrum(pr.eigh_householder_ql(a)))
+        for label, a in inputs if label.endswith("symbol")
+    ]
+    dft, real = pr.dft_submatrix(999, 3, 5, 11), sym(50)
+    calls += [
+        ("Gram complex DFT (999,3,5,11)", lambda: [pr.singular_values_via_gram(dft)]),
+        ("Gram real symmetric n=50", lambda: [pr.singular_values_via_gram(real)]),
+    ]
+    levels = (1e-3, 1e-6, 1e-9, 1e-12, 1e-13)
+    for mnk in ((1024, 256, 128), (1511, 661, 258)):
+        params = pr.ProlateParams(*mnk)
+        calls.append((f"certify {mnk}", lambda params=params: _reports(
+            pr.certify_spectrum_clustering(params, levels))))
+    for block in ((1024, 4, 3, 7), (999, 3, 5, 11)):
+        calls.append((f"certify DFT {block}", lambda block=block: _reports(
+            pr.certify_dft_submatrix(block[0], block[1], levels, *block[2:]))))
+    for mnk, epsilons, order in (
+        ((1024, 256, 128), (1e-3, 1e-6, 1e-9, 1e-12), None),
+        ((1000, 300, 77), (1e-3, 1e-9), None),
+        ((4096, 1024, 512), (1e-6,), 6),
+    ):
+        params = pr.ProlateParams(*mnk)
+        calls.append((f"split {mnk} order={order}", lambda p=params, e=epsilons, o=order:
+                      _splits(pr.certify_lowrank_split(p, e, o))))
+    for mnk in ((256, 64, 31), (3008, 752, 375)):
+        params = pr.ProlateParams(*mnk)
+        calls.append((f"fit {mnk}", lambda p=params: _fit(
+            pr.fit_commuting_tridiagonal(pr.periodic_prolate(p), p))))
+    return calls
+
+
+def library_pass() -> None:
+    """Print each library call's label and the SHA-256 of its values."""
+    for label, call in library_calls():
+        digest = hashlib.sha256(b"|".join(map(_item_bytes, call()))).hexdigest()
+        print(f"{label}\t{digest}")
+
+
+def library_digests(tree: Path, threads: str) -> dict:
+    """Label -> digest of each library call, run in a fresh interpreter on
+    ``tree``'s sources; a failed run adds its exit code and last error line."""
+    env = _env(tree, threads)
+    env["PYTHONPATH"] += os.pathsep + str(ROOT / "tools")
+    with tempfile.TemporaryDirectory() as work:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import compare_reports; compare_reports.library_pass()"],
+            cwd=work, env=env, capture_output=True, text=True,
+        )
+    digests = dict(line.split("\t") for line in proc.stdout.splitlines())
+    if proc.returncode:
+        digests["exit"] = f"{proc.returncode}: {proc.stderr.strip().splitlines()[-1:]}"
+    return digests
 
 
 def main(argv: list[str]) -> int:
@@ -109,7 +246,16 @@ def main(argv: list[str]) -> int:
                 differ += 1
                 print(f"DIFFERS ({', '.join(fields)}) threads={threads}: {label}")
     print(f"{runs} runs compared, {differ} differ")
-    return 1 if differ else 0
+    calls = calls_differ = 0
+    for threads in THREADS:
+        mine, theirs = (library_digests(tree, threads) for tree in (ROOT, parent))
+        for label in dict.fromkeys([*mine, *theirs]):
+            calls += 1
+            if mine.get(label) != theirs.get(label):
+                calls_differ += 1
+                print(f"DIFFERS (library) threads={threads}: {label}")
+    print(f"{calls} library digests compared, {calls_differ} differ")
+    return 1 if differ or calls_differ else 0
 
 
 if __name__ == "__main__":

@@ -129,19 +129,19 @@ def sweep(blocks, kind):
     for label, reports, block, lapack, nw2, size in blocks:
         count += 1
         exact = None
+        reference = pr.Spectrum(lapack)
         for report in reports:
             rows += 1
             eps = report.epsilon
             levels = _levels(kind, eps)
             half = pr.transition_bound(*size, eps)
-            ref = bounds._clustering_report(lapack, eps, half, nw2, *levels)
+            ref = bounds._clustering_report(reference, eps, half, nw2, *levels)
             near += abs(_distance(lapack, levels, [])) <= NEAR_LEVEL
             verdict_differs = _verdicts(report) != _verdicts(ref)
             if report.width == ref.width and not verdict_differs:
                 continue
             differ += 1
-            computed = report.spectrum.values if kind == "prolate" else report.singular_values
-            crossed = _crossed(computed, lapack, levels)
+            crossed = _crossed(report.spectrum.values, lapack, levels)
             distance, source = _distance(lapack, levels, crossed), "LAPACK"
             if abs(distance) <= MPMATH_BELOW:
                 if exact is None:
